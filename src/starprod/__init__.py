@@ -24,6 +24,7 @@ from .codes import (
 )
 from .exact import (
     Params,
+    RandomModel,
     StarDimBound,
     binom,
     count_subspaces_with_support,
@@ -67,7 +68,6 @@ from .oracle import (
 )
 from .sampling import (
     Estimate,
-    RandomModel,
     TableRow,
     TABLE1_CSV_HEADER,
     TABLE1_GRID,

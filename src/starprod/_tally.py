@@ -1,0 +1,72 @@
+"""Exact dimension histograms over batches of generator pairs.
+
+Monte Carlo and the exhaustive oracles compute the same thing: a per-pair
+dimension statistic counted over a pair space.  Only the source of the
+pairs differs, so the counting rule lives here once.  Each job counts its
+pairs with np.bincount and the per-job counts are merged by Python integer
+addition, so a histogram depends neither on how the pair space is split
+into jobs nor on how many threads run them.
+"""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+
+from .codes import pairwise_product_rows
+from .matrices import rank_many
+
+
+def resolve_threads(threads=None) -> int:
+    if threads is None:
+        env = os.environ.get("STARPROD_THREADS")
+        threads = int(env) if env else (os.cpu_count() or 1)
+    return max(1, int(threads))
+
+
+def star_dims(field, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Star-product dimension of each generator pair, flattened.
+
+    g1 (..., k1, n) and g2 (..., k2, n) broadcast over the leading axes.
+    """
+    prod = pairwise_product_rows(field, g1, g2)
+    return rank_many(field, prod.reshape((-1,) + prod.shape[-2:]))
+
+
+def meet_dims(field, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Intersection dimension k1 + k2 - rank [G1; G2] of each pair of
+    full-rank generators, flattened; shapes broadcast as in star_dims."""
+    k1, k2 = g1.shape[-2], g2.shape[-2]
+    lead = np.broadcast_shapes(g1.shape[:-2], g2.shape[:-2])
+    stacked = np.empty(lead + (k1 + k2, g1.shape[-1]), dtype=np.int64)
+    stacked[..., :k1, :] = g1
+    stacked[..., k1:, :] = g2
+    return k1 + k2 - rank_many(field, stacked.reshape((-1,) + stacked.shape[-2:]))
+
+
+def dim_histogram(field, stat, size: int, jobs, pairs, threads: int = 1) -> list:
+    """Exact histogram, as Python ints of length size, of stat(field, g1, g2)
+    over every (g1, g2) batch that pairs(job) yields for each job.
+
+    jobs must be a sequence when threads > 1; jobs then run on up to
+    threads worker threads.
+    """
+
+    def work(job):
+        counts = np.zeros(size, dtype=np.int64)
+        for g1, g2 in pairs(job):
+            counts += np.bincount(stat(field, g1, g2), minlength=size)
+        return counts
+
+    if threads > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            parts = list(ex.map(work, jobs))
+    else:
+        parts = map(work, jobs)
+    hist = [0] * size
+    for part in parts:
+        for d, c in enumerate(part):
+            hist[d] += int(c)
+    return hist

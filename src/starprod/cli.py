@@ -19,10 +19,11 @@ from fractions import Fraction
 import mpmath
 
 from . import apps, catalog, exact, oracle, sampling
+from ._tally import resolve_threads
 from .codes import code_from_matrix
 from .errors import BudgetExceeded, StarprodError
+from .exact import RandomModel
 from .matrices import load_matrix, save_matrix
-from .sampling import RandomModel
 
 
 def _dec(x: Fraction) -> str:
@@ -52,11 +53,7 @@ def _model(args) -> RandomModel:
 
 
 def _load_code(path):
-    try:
-        mat = load_matrix(path)
-    except OSError:
-        raise
-    return code_from_matrix(mat)
+    return code_from_matrix(load_matrix(path))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -324,7 +321,7 @@ def cmd_example_mds(args) -> int:
             path = os.path.join(args.dump, f"{name}.mat")
             save_matrix(c.basis, path)
             print(f"wrote {path}")
-    threads = sampling.resolve_threads(args.threads)
+    threads = resolve_threads(args.threads)
     for name, c in codes:
         val = oracle.exact_expected_star_dim_fixed(c, args.l, threads=threads)
         print(f"E[dim {name}*D] (dim D = {args.l}) = {_frac(val)} (= {_dec(val)})")

@@ -15,31 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
 
 from .errors import BadRange, UncoveredCase
-
-
-def _prime_power(q: int) -> tuple:
-    """Return (p, m) with q = p**m and p prime, else raise BadRange."""
-    if q < 2:
-        raise BadRange(f"field order must be >= 2, got {q}")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q
-    m = 0
-    v = q
-    while v % p == 0:
-        v //= p
-        m += 1
-    if v != 1:
-        raise BadRange(f"{q} is not a prime power")
-    return p, m
+from .fields import prime_power
 
 
 @dataclass(frozen=True)
@@ -56,13 +39,24 @@ class Params:
     k2: int
 
     def __post_init__(self):
-        _prime_power(self.q)
+        prime_power(self.q, BadRange)
         if self.k1 > self.k2:
             lo, hi = self.k2, self.k1
             object.__setattr__(self, "k1", lo)
             object.__setattr__(self, "k2", hi)
         if not 1 <= self.k1 <= self.k2 <= self.n:
             raise BadRange(f"need 1 <= k1 <= k2 <= n, got k1={self.k1} k2={self.k2} n={self.n}")
+
+
+class RandomModel(Enum):
+    """How a random [n, k] code is drawn, by Monte Carlo and by the oracles.
+
+    SYSTEMATIC: generator [I_k | A] with A uniform over F_q^(k x (n-k)).
+    UNIFORM_SUBSPACE: a uniform k-dimensional subspace of F_q^n.
+    """
+
+    SYSTEMATIC = "systematic"
+    UNIFORM_SUBSPACE = "uniform"
 
 
 def binom(n: int, k: int) -> int:
@@ -218,7 +212,7 @@ def expected_star_dim_mds(q: int, n: int, k1: int, k2: int) -> Fraction:
     UncoveredCase is raised.  Existence of an MDS [n, k1] code over F_q
     is assumed, not checked.
     """
-    _prime_power(q)
+    prime_power(q, BadRange)
     if not (1 <= k1 <= n and 1 <= k2 <= n):
         raise BadRange(f"need 1 <= k1, k2 <= n, got k1={k1} k2={k2} n={n}")
     if k2 == 1:
@@ -275,7 +269,7 @@ def full_dim_probability_bound_exponent(q: int, t: int) -> float:
     only asymptotically; at small parameters it is advisory and should be
     reported next to empirical frequencies, never asserted against them.
     """
-    _prime_power(q)
+    prime_power(q, BadRange)
     if t < 0:
         raise BadRange(f"exponent must be >= 0, got {t}")
     return float(1 - Fraction(2 * q - 1, q * q) ** t)
@@ -292,7 +286,7 @@ def kernel_conjecture_value(q: int, k1: int, k2: int) -> float:
     """Conjectured growing-dimension kernel-size limit
     exp((q - 1) * k2 * (k1 - 1) / q**k1) + 1, for exploratory comparison
     against expected_kernel_size."""
-    _prime_power(q)
+    prime_power(q, BadRange)
     if k1 < 1 or k2 < 1:
         raise BadRange("dimensions must be >= 1")
     return math.exp((q - 1) * k2 * (k1 - 1) / q**k1) + 1.0

@@ -189,9 +189,11 @@ def field_make(p: int, m: int = 1) -> FieldSpec:
     return FieldSpec(p, m)
 
 
-@functools.lru_cache(maxsize=None)
-def field_from_order(q: int) -> FieldSpec:
-    """Construct GF(q) from the order q = p**m."""
+def prime_power(q: int, error=NotPrime) -> tuple:
+    """Return (p, m) with q = p**m and p prime, without building tables.
+
+    Raises BadRange when q < 2 and error when q is not a prime power.
+    """
     if q < 2:
         raise BadRange(f"field order must be >= 2, got {q}")
     p = 2
@@ -205,8 +207,14 @@ def field_from_order(q: int) -> FieldSpec:
         v //= p
         m += 1
     if v != 1:
-        raise NotPrime(f"{q} is not a prime power")
-    return field_make(p, m)
+        raise error(f"{q} is not a prime power")
+    return p, m
+
+
+@functools.lru_cache(maxsize=None)
+def field_from_order(q: int) -> FieldSpec:
+    """Construct GF(q) from the order q = p**m."""
+    return field_make(*prime_power(q))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ calls at the sizes this package cares about.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .errors import FieldMismatch, TooLarge
@@ -81,10 +79,6 @@ def zeros(field: FieldSpec, rows: int, cols: int) -> Mat:
 
 def identity(field: FieldSpec, n: int) -> Mat:
     return Mat(field, np.eye(n, dtype=np.int64))
-
-
-def from_rows(field: FieldSpec, rows: Iterable[Sequence[int]]) -> Mat:
-    return Mat(field, np.array(list(rows), dtype=np.int64))
 
 
 def stack(a: Mat, b: Mat) -> Mat:

@@ -1,10 +1,10 @@
 """Exhaustive ground truth for the closed forms, at small parameters.
 
 Everything here enumerates a finite probability space completely and
-aggregates with exact integer arithmetic, so results are rationals the
-formula modules must match exactly.  Enumerations charge an EnumBudget up
-front and fail loudly rather than truncate; an oracle that silently
-samples is not an oracle.
+counts it into an exact histogram (_tally.dim_histogram), so results are
+rationals the formula modules must match exactly.  Enumerations charge an
+EnumBudget up front and fail loudly rather than truncate; an oracle that
+silently samples is not an oracle.
 
 Two enumeration orders matter and are deliberately different:
 
@@ -17,19 +17,18 @@ Two enumeration orders matter and are deliberately different:
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .codes import LinearCode, code_from_matrix, pairwise_product_rows
+from ._tally import dim_histogram, meet_dims, star_dims
+from .codes import LinearCode, code_from_matrix
 from .errors import BadRange, BudgetExceeded, NotMonomial
-from .exact import Params, qbinom
+from .exact import Params, RandomModel, qbinom
 from .fields import FieldSpec, field_from_order
 from .matrices import Mat, mat_mul, rank_many
-from .sampling import RandomModel
 
 DEFAULT_BUDGET = 2**26
 _PAIR_BLOCK = 1 << 14
@@ -140,63 +139,42 @@ def enumerate_subspaces(field: FieldSpec, n: int, k: int, budget=None) -> Iterat
             yield LinearCode(field, m, pivots)
 
 
-def _pair_dim_histogram(field, blocks1_factory, blocks2_factory, k1, k2, n) -> np.ndarray:
-    """Histogram of star dimensions over the full cartesian pair space."""
-    hist = np.zeros(min(k1 * k2, n) + 1, dtype=object)
-    hist[:] = 0
-    for g1 in blocks1_factory():
-        inner = max(1, _PAIR_BLOCK // max(1, g1.shape[0]))
-        for g2 in blocks2_factory():
+def _pair_histogram(p: Params, model: RandomModel, stat, budget) -> tuple:
+    """Exact histogram of stat over every generator pair of the model,
+    with the pair count.  Its length min(k1*k2, n) + 1 bounds both
+    statistics, since an intersection has dim <= k1."""
+    field = field_from_order(p.q)
+    if model is RandomModel.SYSTEMATIC:
+        blocks = _systematic_blocks
+        count = systematic_count(p.q, p.n, p.k1) * systematic_count(p.q, p.n, p.k2)
+    else:
+        blocks = _subspace_blocks
+        count = qbinom(p.n, p.k1, p.q) * qbinom(p.n, p.k2, p.q)
+    _budget(budget).charge(count)
+
+    def pairs(g1):
+        inner = _PAIR_BLOCK // g1.shape[0]
+        for g2 in blocks(field, p.n, p.k2, _SUBSPACE_BLOCK):
             for s2 in range(0, g2.shape[0], inner):
-                part2 = g2[s2 : s2 + inner]
-                prod = pairwise_product_rows(
-                    field, g1[:, None, :, :], part2[None, :, :, :]
-                ).reshape(g1.shape[0] * part2.shape[0], k1 * k2, n)
-                dims = rank_many(field, prod)
-                cnt = np.bincount(dims, minlength=hist.size)
-                for d, c in enumerate(cnt):
-                    if c:
-                        hist[d] += int(c)
-    return hist
+                yield g1[:, None], g2[None, s2 : s2 + inner]
+
+    size = min(p.k1 * p.k2, p.n) + 1
+    return dim_histogram(field, stat, size, blocks(field, p.n, p.k1, 64), pairs), count
 
 
 def exact_expected_kernel(p: Params, budget=None) -> Fraction:
     """Exact average kernel size of the bilinear evaluation map over all
     systematic generator pairs: per pair the kernel size is
     q**(k1*k2 - star dimension)."""
-    field = field_from_order(p.q)
-    n1 = systematic_count(p.q, p.n, p.k1)
-    n2 = systematic_count(p.q, p.n, p.k2)
-    _budget(budget).charge(n1 * n2)
-    hist = _pair_dim_histogram(
-        field,
-        lambda: _systematic_blocks(field, p.n, p.k1, 64),
-        lambda: _systematic_blocks(field, p.n, p.k2, _SUBSPACE_BLOCK),
-        p.k1,
-        p.k2,
-        p.n,
-    )
+    hist, count = _pair_histogram(p, RandomModel.SYSTEMATIC, star_dims, budget)
     kk = p.k1 * p.k2
-    total = sum(c * p.q ** (kk - d) for d, c in enumerate(hist))
-    return Fraction(total, n1 * n2)
+    return Fraction(sum(c * p.q ** (kk - d) for d, c in enumerate(hist)), count)
 
 
 def exact_expected_star_dim(p: Params, model: RandomModel, budget=None) -> Fraction:
     """Exact average star dimension over all pairs under the model."""
-    field = field_from_order(p.q)
-    if model is RandomModel.SYSTEMATIC:
-        n1 = systematic_count(p.q, p.n, p.k1)
-        n2 = systematic_count(p.q, p.n, p.k2)
-        b1 = lambda: _systematic_blocks(field, p.n, p.k1, 64)
-        b2 = lambda: _systematic_blocks(field, p.n, p.k2, _SUBSPACE_BLOCK)
-    else:
-        n1 = qbinom(p.n, p.k1, p.q)
-        n2 = qbinom(p.n, p.k2, p.q)
-        b1 = lambda: _subspace_blocks(field, p.n, p.k1, 64)
-        b2 = lambda: _subspace_blocks(field, p.n, p.k2, _SUBSPACE_BLOCK)
-    _budget(budget).charge(n1 * n2)
-    hist = _pair_dim_histogram(field, b1, b2, p.k1, p.k2, p.n)
-    return Fraction(sum(d * c for d, c in enumerate(hist)), n1 * n2)
+    hist, count = _pair_histogram(p, model, star_dims, budget)
+    return Fraction(sum(d * c for d, c in enumerate(hist)), count)
 
 
 def exact_expected_star_dim_fixed(
@@ -204,51 +182,28 @@ def exact_expected_star_dim_fixed(
 ) -> Fraction:
     """Exact average of dim(C star D) over all ell-dim subspaces D.
 
-    The enumeration is partitioned by pivot column set, so it can run on
-    several threads with exact integer partial sums; the result does not
-    depend on the partitioning.
+    One job per pivot column set, so threads > 1 runs the enumeration on
+    several threads.
     """
     field = c.field
-    n = c.n
-    total_subspaces = qbinom(n, ell, field.q)
+    _check_dims(c.n, ell)
+    total_subspaces = qbinom(c.n, ell, field.q)
     _budget(budget).charge(total_subspaces)
-    basis = c.basis.data
+    basis = c.basis.data[None]
 
-    def work(pivots) -> int:
-        acc = 0
-        for block in _subspace_blocks(field, n, ell, _SUBSPACE_BLOCK, [pivots]):
-            prod = pairwise_product_rows(field, basis[None, :, :], block)
-            acc += int(rank_many(field, prod).sum())
-        return acc
+    def pairs(pivots):
+        for block in _subspace_blocks(field, c.n, ell, _SUBSPACE_BLOCK, [pivots]):
+            yield basis, block
 
-    pivot_sets = list(itertools.combinations(range(n), ell))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            dim_sum = sum(ex.map(work, pivot_sets))
-    else:
-        dim_sum = sum(work(ps) for ps in pivot_sets)
-    return Fraction(dim_sum, total_subspaces)
+    pivot_sets = list(itertools.combinations(range(c.n), ell))
+    hist = dim_histogram(field, star_dims, min(c.k * ell, c.n) + 1, pivot_sets, pairs, threads or 1)
+    return Fraction(sum(d * cnt for d, cnt in enumerate(hist)), total_subspaces)
 
 
 def exact_expected_intersection(p: Params, budget=None) -> Fraction:
     """Exact average of dim(C1 meet C2) over all subspace pairs."""
-    field = field_from_order(p.q)
-    n1 = qbinom(p.n, p.k1, p.q)
-    n2 = qbinom(p.n, p.k2, p.q)
-    _budget(budget).charge(n1 * n2)
-    total = 0
-    for g1 in _subspace_blocks(field, p.n, p.k1, 64):
-        inner = max(1, _PAIR_BLOCK // max(1, g1.shape[0]))
-        for g2 in _subspace_blocks(field, p.n, p.k2, _SUBSPACE_BLOCK):
-            for s2 in range(0, g2.shape[0], inner):
-                part2 = g2[s2 : s2 + inner]
-                b1, b2 = g1.shape[0], part2.shape[0]
-                stacked = np.empty((b1 * b2, p.k1 + p.k2, p.n), dtype=np.int64)
-                stacked[:, : p.k1] = np.repeat(g1, b2, axis=0)
-                stacked[:, p.k1 :] = np.tile(part2, (b1, 1, 1))
-                ranks = rank_many(field, stacked)
-                total += int((p.k1 + p.k2 - ranks).sum())
-    return Fraction(total, n1 * n2)
+    hist, count = _pair_histogram(p, RandomModel.UNIFORM_SUBSPACE, meet_dims, budget)
+    return Fraction(sum(d * c for d, c in enumerate(hist)), count)
 
 
 @dataclass

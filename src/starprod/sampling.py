@@ -2,17 +2,14 @@
 
 Every sample index owns a fixed slice of a Philox counter stream keyed by
 the seed, so sample i draws the same field elements no matter how the
-work is chunked or how many threads run.  All aggregation is exact
-integer arithmetic (dimension histograms, big-integer kernel sums), which
-makes estimates bit-identical across thread counts; floating point enters
-only in the final mean/stderr rendering.
+work is chunked or how many threads run.  Chunks of _CHUNK samples are
+counted into one exact histogram by _tally.dim_histogram, and each
+estimate is an exact integer sum over it; floating point enters only in
+the final mean/stderr rendering.
 
-Models:
-
-* SYSTEMATIC: generator [I_k | A] with A uniform over F_q^(k x (n-k)).
-* UNIFORM_SUBSPACE: the row space of a uniform full-rank k x n matrix,
-  obtained by rejection; every subspace has equally many full-rank
-  generators, so the result is uniform on the Grassmannian.
+The uniform-subspace model takes the row space of a uniform full-rank
+k x n matrix, obtained by rejection; every subspace has equally many
+full-rank generators, so the result is uniform on the Grassmannian.
 
 Uniformity caveat: raw 64-bit words are reduced mod q, a bias below
 q * 2**-64 that no statistic at these sample counts can see.
@@ -21,17 +18,15 @@ q * 2**-64 that no statistic at these sample counts can see.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-from .codes import LinearCode, code_from_matrix, pairwise_product_rows
+from ._tally import dim_histogram, meet_dims, resolve_threads, star_dims
+from .codes import LinearCode, code_from_matrix
 from .errors import BadRange, RejectionBudgetExceeded
-from .exact import Params, star_dim_lower_bound
+from .exact import Params, RandomModel, star_dim_lower_bound
 from .fields import FieldSpec, field_from_order
 from .matrices import Mat, rank_many
 
@@ -43,18 +38,6 @@ _CHUNK = 4096
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 42
-
-
-class RandomModel(Enum):
-    SYSTEMATIC = "systematic"
-    UNIFORM_SUBSPACE = "uniform"
-
-
-def resolve_threads(threads=None) -> int:
-    if threads is None:
-        env = os.environ.get("STARPROD_THREADS")
-        threads = int(env) if env else (os.cpu_count() or 1)
-    return max(1, int(threads))
 
 
 # -- counter-based streams ---------------------------------------------------
@@ -225,36 +208,29 @@ def _stderr_from_sums(total: int, total_sq: int, n: int) -> float:
         return math.inf
 
 
-def _run_chunks(samples: int, threads: int, work):
-    """Map work(start, count) over fixed chunks and merge by summation."""
-    starts = [(s, min(_CHUNK, samples - s)) for s in range(0, samples, _CHUNK)]
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda sc: work(*sc), starts))
-    else:
-        parts = [work(*sc) for sc in starts]
-    out = parts[0]
-    for part in parts[1:]:
-        out = [a + b for a, b in zip(out, part)]
-    return out
-
-
-def _star_dim_histogram(p: Params, model, samples, seed, threads) -> list:
-    """Exact histogram of star dimensions over the sample range."""
-    field = field_from_order(p.q)
-    size = min(p.k1 * p.k2, p.n) + 1
-
-    def work(start, count):
-        g1, g2 = _pair_generators(field, p, model, seed, start, count)
-        dims = rank_many(field, pairwise_product_rows(field, g1, g2))
-        return [int(c) for c in np.bincount(dims, minlength=size)]
-
-    return _run_chunks(samples, threads, work)
-
-
-def _check_samples(samples: int) -> None:
+def _sample_histogram(p: Params, model, samples, seed, threads, stat) -> list:
+    """Exact histogram of stat (star_dims or meet_dims) over the sample
+    range, one job per _CHUNK samples.  Its length min(k1*k2, n) + 1
+    bounds both statistics, since an intersection has dim <= k1."""
     if samples < 1:
         raise BadRange(f"need samples >= 1, got {samples}")
+    field = field_from_order(p.q)
+    chunks = [(s, min(_CHUNK, samples - s)) for s in range(0, samples, _CHUNK)]
+    return dim_histogram(
+        field,
+        stat,
+        min(p.k1 * p.k2, p.n) + 1,
+        chunks,
+        lambda chunk: [_pair_generators(field, p, model, seed, *chunk)],
+        resolve_threads(threads),
+    )
+
+
+def _estimate(p: Params, model, samples, seed, hist, value) -> Estimate:
+    """The Estimate of the integer statistic value(d) over a dimension histogram."""
+    total = sum(c * value(d) for d, c in enumerate(hist))
+    total_sq = sum(c * value(d) ** 2 for d, c in enumerate(hist))
+    return Estimate(p, model, samples, seed, total, _stderr_from_sums(total, total_sq, samples))
 
 
 def mc_star_dim(
@@ -265,11 +241,8 @@ def mc_star_dim(
     threads=None,
 ) -> Estimate:
     """Monte Carlo estimate of the expected star-product dimension."""
-    _check_samples(samples)
-    hist = _star_dim_histogram(p, model, samples, seed, resolve_threads(threads))
-    total = sum(d * c for d, c in enumerate(hist))
-    total_sq = sum(d * d * c for d, c in enumerate(hist))
-    return Estimate(p, model, samples, seed, total, _stderr_from_sums(total, total_sq, samples))
+    hist = _sample_histogram(p, model, samples, seed, threads, star_dims)
+    return _estimate(p, model, samples, seed, hist, lambda d: d)
 
 
 def mc_kernel_size(
@@ -282,12 +255,8 @@ def mc_kernel_size(
     """Monte Carlo estimate of the expected kernel size of the bilinear
     evaluation map; per pair the kernel size is the exact integer
     q**(k1*k2 - star dimension)."""
-    _check_samples(samples)
-    hist = _star_dim_histogram(p, model, samples, seed, resolve_threads(threads))
-    kk = p.k1 * p.k2
-    total = sum(c * p.q ** (kk - d) for d, c in enumerate(hist))
-    total_sq = sum(c * p.q ** (2 * (kk - d)) for d, c in enumerate(hist))
-    return Estimate(p, model, samples, seed, total, _stderr_from_sums(total, total_sq, samples))
+    hist = _sample_histogram(p, model, samples, seed, threads, star_dims)
+    return _estimate(p, model, samples, seed, hist, lambda d: p.q ** (p.k1 * p.k2 - d))
 
 
 def mc_full_dim_frequency(
@@ -299,10 +268,8 @@ def mc_full_dim_frequency(
 ) -> Estimate:
     """Fraction of sampled pairs whose star product has the maximal
     dimension min(k1*k2, n); samples are 0/1."""
-    _check_samples(samples)
-    hist = _star_dim_histogram(p, model, samples, seed, resolve_threads(threads))
-    hits = hist[min(p.k1 * p.k2, p.n)]
-    return Estimate(p, model, samples, seed, hits, _stderr_from_sums(hits, hits, samples))
+    hist = _sample_histogram(p, model, samples, seed, threads, star_dims)
+    return _estimate(p, model, samples, seed, hist, lambda d: int(d == min(p.k1 * p.k2, p.n)))
 
 
 def mc_intersection_dim(
@@ -313,20 +280,9 @@ def mc_intersection_dim(
 ) -> Estimate:
     """Monte Carlo estimate of the expected intersection dimension of two
     uniform random subspaces (the uniform model is part of the contract)."""
-    _check_samples(samples)
-    field = field_from_order(p.q)
     model = RandomModel.UNIFORM_SUBSPACE
-
-    def work(start, count):
-        g1, g2 = _pair_generators(field, p, model, seed, start, count)
-        stacked = np.concatenate([g1, g2], axis=1)
-        dims = p.k1 + p.k2 - rank_many(field, stacked)
-        return [int(c) for c in np.bincount(dims, minlength=p.k1 + 1)]
-
-    hist = _run_chunks(samples, resolve_threads(threads), work)
-    total = sum(d * c for d, c in enumerate(hist))
-    total_sq = sum(d * d * c for d, c in enumerate(hist))
-    return Estimate(p, model, samples, seed, total, _stderr_from_sums(total, total_sq, samples))
+    hist = _sample_histogram(p, model, samples, seed, threads, meet_dims)
+    return _estimate(p, model, samples, seed, hist, lambda d: d)
 
 
 # -- benchmark table ---------------------------------------------------------

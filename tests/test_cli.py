@@ -196,6 +196,12 @@ def test_budget_exit_code(tmp_path, capsys):
     assert code == 3 and "budget" in err
 
 
+def test_example_mds_partner_dimension_exit(capsys):
+    for ell in ("0", "9"):
+        code, out, err = run(capsys, "example-mds", "--l", ell, "--threads", "1")
+        assert code == 2 and "need 1 <= k <= n" in err and out == ""
+
+
 def test_example_mds_dump(tmp_path, capsys):
     out_dir = tmp_path / "dumped"
     code, out, _ = run(

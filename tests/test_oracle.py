@@ -27,7 +27,7 @@ from starprod import (
     star_product,
 )
 from starprod.catalog import mds63_gf7_codes
-from starprod.errors import BudgetExceeded, NotMonomial, ZeroCode
+from starprod.errors import BadRange, BudgetExceeded, NotMonomial, ZeroCode
 
 
 def test_enum_budget():
@@ -121,6 +121,13 @@ def test_exact_expected_star_dim_fixed_thread_invariance():
     assert exact_expected_star_dim_fixed(c1, 1, threads=1) == exact_expected_star_dim_fixed(
         c1, 1, threads=3
     )
+
+
+def test_exact_expected_star_dim_fixed_validates_ell():
+    c1, _ = mds63_gf7_codes()
+    for ell in (-1, 0, c1.n + 1):
+        with pytest.raises(BadRange):
+            exact_expected_star_dim_fixed(c1, ell)
 
 
 def test_exact_expected_intersection():

@@ -24,6 +24,7 @@ from starprod import (
     sample_code,
     star_dim_lower_bound,
 )
+from starprod._tally import star_dims
 from starprod.errors import BadRange, RejectionBudgetExceeded
 import starprod.sampling as sampling
 
@@ -89,6 +90,33 @@ def test_mc_star_dim_thread_determinism():
     runs = [mc_star_dim(p, samples=9000, seed=5, threads=t) for t in (1, 2, 4)]
     assert runs[0] == runs[1] == runs[2]
     assert json.dumps(runs[0].to_json()) == json.dumps(runs[2].to_json())
+
+
+@pytest.mark.parametrize("model", list(RandomModel), ids=lambda m: m.value)
+def test_mc_other_stats_thread_determinism(model):
+    # one full chunk plus a partial one, so threads=2 splits the work
+    p = Params(4, 4, 2, 2)
+    for fn in (mc_kernel_size, mc_full_dim_frequency):
+        assert fn(p, model, 4096 + 17, 3, 1) == fn(p, model, 4096 + 17, 3, 2)
+    if model is RandomModel.UNIFORM_SUBSPACE:
+        assert mc_intersection_dim(p, 4096 + 17, 3, 1) == mc_intersection_dim(p, 4096 + 17, 3, 2)
+
+
+def test_mc_golden_totals():
+    # exact sums at one small point; a change to the sample stream or to
+    # the aggregation must show up here
+    p = Params(3, 5, 2, 2)
+    want = {
+        RandomModel.SYSTEMATIC: (2160, 1120, 370),
+        RandomModel.UNIFORM_SUBSPACE: (1979, 1818, 258),
+    }
+    for model, totals in want.items():
+        got = tuple(
+            fn(p, model, 600, 11, 1).total
+            for fn in (mc_star_dim, mc_kernel_size, mc_full_dim_frequency)
+        )
+        assert got == totals, model
+    assert mc_intersection_dim(p, 600, 11, 1).total == 88
 
 
 def test_mc_star_dim_uniform_model_runs():
@@ -183,7 +211,7 @@ def test_jensen_direction_moderate_samples():
 def test_star_dim_samples_in_range():
     # systematic model: the first star coordinate is always 1
     p = Params(2, 6, 2, 3)
-    hist = sampling._star_dim_histogram(p, RandomModel.SYSTEMATIC, 5000, 14, 1)
+    hist = sampling._sample_histogram(p, RandomModel.SYSTEMATIC, 5000, 14, 1, star_dims)
     assert hist[0] == 0
     assert sum(hist) == 5000
     assert len(hist) == min(p.k1 * p.k2, p.n) + 1

@@ -1,0 +1,54 @@
+import numpy as np
+import pytest
+
+from starprod import field_make, intersection_dim, star_product
+from starprod._tally import dim_histogram, meet_dims, star_dims
+from starprod.errors import ZeroCode
+
+from conftest import random_code
+
+
+def _codes(field, n, k, count, rng):
+    out = []
+    while len(out) < count:
+        c = random_code(field, n, k, rng)
+        if c.k == k:
+            out.append(c)
+    return out
+
+
+def _star_k(c1, c2):
+    try:
+        return star_product(c1, c2).k
+    except ZeroCode:
+        return 0
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (2, 2)])
+def test_broadcast_dims_match_per_pair_codes(p, m):
+    field = field_make(p, m)
+    rng = np.random.default_rng(p * 10 + m)
+    n, k1, k2 = 5, 2, 3
+    left = _codes(field, n, k1, 4, rng)
+    right = _codes(field, n, k2, 3, rng)
+    g1 = np.stack([c.basis.data for c in left])[:, None]
+    g2 = np.stack([c.basis.data for c in right])[None]
+    stars = star_dims(field, g1, g2).reshape(len(left), len(right))
+    meets = meet_dims(field, g1, g2).reshape(len(left), len(right))
+    for i, c1 in enumerate(left):
+        for j, c2 in enumerate(right):
+            assert stars[i, j] == _star_k(c1, c2)
+            assert meets[i, j] == intersection_dim(c1, c2)
+
+
+def test_dim_histogram_independent_of_jobs_and_threads():
+    field = field_make(3)
+    rng = np.random.default_rng(1)
+    g1 = np.stack([c.basis.data for c in _codes(field, 4, 2, 6, rng)])
+    g2 = np.stack([c.basis.data for c in _codes(field, 4, 2, 6, rng)])
+    whole = dim_histogram(field, star_dims, 5, [0], lambda _: [(g1, g2)])
+    one_pair = lambda i: [(g1[i : i + 1], g2[i : i + 1])]
+    for threads in (1, 2):
+        split = dim_histogram(field, star_dims, 5, range(6), one_pair, threads)
+        assert split == whole
+    assert sum(whole) == 6 and all(type(c) is int for c in whole)
