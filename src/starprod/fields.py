@@ -143,7 +143,9 @@ class FieldSpec:
         a = np.asarray(a)
         b = np.asarray(b)
         if self.m == 1:
-            return (a * b) % self.q
+            out = a * b
+            out %= self.q
+            return out
         prod = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
         return np.where((a == 0) | (b == 0), 0, prod)
 

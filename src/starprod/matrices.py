@@ -8,7 +8,11 @@ always picks the first nonzero entry scanning top to bottom, so the RREF
 rank_many() is the batched workhorse used by the Monte Carlo and
 enumeration code: it eliminates a whole (batch, rows, cols) tensor at
 once, which is one to two orders of magnitude faster than per-matrix
-calls at the sizes this package cares about.
+calls at the sizes this package cares about.  It steps over the shorter
+side (transposing wide batches), works on one column-major private copy,
+marks pivot rows in place of swapping them, and over prime fields defers
+``% q`` to the pivot column and row, which bounds every entry and lets
+the copy use the narrowest integer dtype that holds the bound.
 """
 
 from __future__ import annotations
@@ -156,57 +160,61 @@ def right_kernel_basis(m: Mat) -> Mat:
 
 
 def rank_many(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
-    """Ranks of a (batch, rows, cols) int64 tensor of encoded entries.
+    """Ranks of a (batch, rows, cols) tensor of encoded entries, as int64.
 
-    Forward elimination vectorised across the batch: every iteration
-    handles one column for all matrices simultaneously.  The input is not
-    modified.
+    Forward elimination vectorised across the batch, one step per column
+    of the shorter side (rank M = rank M^T, so a wide batch is transposed).
+    The input is copied once, never modified, into a column-major
+    (steps, batch, rows) array, so a step updates the remaining columns as
+    one contiguous block.  Rows are never swapped: a boolean mask marks the
+    pivot rows, each pivot is the first unmarked row with a nonzero entry,
+    and only unmarked rows are eliminated; the rank is the number marked.
+
+    Prime fields defer reduction: a step reduces only the pivot column and
+    the pivot row, and the rest loses a product of two values in [0, q)
+    with no ``% q``.  An entry loses at most steps - 1 such products, so
+    it stays in [-(steps - 1)(q - 1)^2, q - 1], and the copy takes the
+    narrowest signed integer dtype holding that range (int8 for GF(2) up
+    to 129 steps; int64 is enough for any q <= 2^16 and side <= 4096).
+    Extension fields keep int64 and the FieldSpec arithmetic.
     """
-    m = np.ascontiguousarray(mats).copy()
-    if m.ndim != 3:
+    mats = np.asarray(mats)
+    if mats.ndim != 3:
         raise ValueError("rank_many expects a (batch, rows, cols) tensor")
-    B, R, C = m.shape
+    B, R, C = mats.shape
     if B == 0 or R == 0 or C == 0:
         return np.zeros(B, dtype=np.int64)
-    prime = field.m == 1
+    steps = min(R, C)
     q = field.q
-    r = np.zeros(B, dtype=np.int64)
-    rows = np.arange(R)
+    prime = field.m == 1
+    # -max(low, q) fits a signed dtype exactly when -low and q - 1 both do
+    dtype = np.min_scalar_type(-max((steps - 1) * (q - 1) ** 2, q)) if prime else np.int64
+    m = np.array(mats.transpose(2, 0, 1) if R >= C else mats.transpose(1, 0, 2), dtype=dtype, order="C")
+    prod = np.empty_like(m[1:]) if prime else None
+    used = np.zeros(m.shape[1:], dtype=bool)
     bidx = np.arange(B)
-    for c in range(C):
-        cand = (m[:, :, c] != 0) & (rows[None, :] >= r[:, None])
-        has = cand.any(axis=1)
+    for c in range(steps):
+        col = m[c] % q if prime else m[c]
+        cand = (col != 0) & ~used
+        piv = cand.argmax(axis=1)
+        has = cand[bidx, piv]
         if not has.any():
             continue
-        piv = np.where(has, np.argmax(cand, axis=1), 0)
-        b = bidx[has & (piv != r)]
-        if b.size:
-            rb, pb = r[b], piv[b]
-            tmp = m[b, rb].copy()
-            m[b, rb] = m[b, pb]
-            m[b, pb] = tmp
-        bh = bidx[has]
-        rh = r[bh]
-        prow = m[bh, rh]
-        if prime:
-            prow = (prow * field._inv[prow[:, c]][:, None]) % q
-        else:
-            prow = field.mul(prow, field.inv(prow[:, c])[:, None])
-        m[bh, rh] = prow
-        # eliminate strictly below the pivot row, whole batch at once
-        prow_f = np.zeros((B, C - c), dtype=np.int64)
-        prow_f[bh] = prow[:, c:]
-        fcol = m[:, :, c] * ((rows[None, :] > r[:, None]) & has[:, None])
-        sub = m[:, :, c:]
-        if prime:
-            sub -= fcol[:, :, None] * prow_f[:, None, :]
-            sub %= q
-        else:
-            sub[...] = field.sub(sub, field.mul(fcol[:, :, None], prow_f[:, None, :]))
-        r += has
-        if (r == R).all():
+        used[bidx, piv] |= has
+        if c + 1 == steps:
             break
-    return r
+        cand[bidx, piv] = False
+        rest = m[c + 1 :]
+        pivinv = field.inv(np.where(has, col[bidx, piv], 1))
+        if prime:
+            prow = (rest[:, bidx, piv] % q * pivinv % q).astype(dtype)
+            out = prod[: len(rest)]
+            np.multiply(prow[:, :, None], (col * cand)[None], out=out)
+            rest -= out
+        else:
+            prow = field.mul(rest[:, bidx, piv], pivinv)
+            rest[...] = field.sub(rest, field.mul(prow[:, :, None], (col * cand)[None]))
+    return used.sum(axis=1, dtype=np.int64)
 
 
 # -- text format ------------------------------------------------------------

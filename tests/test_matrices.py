@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from starprod import Mat, field_make, format_matrix, load_matrix, mat_mul, parse_matrix, rank, rank_many, right_kernel_basis, rref, save_matrix
 from starprod.errors import TooLarge
@@ -79,6 +82,91 @@ def test_rank_many_matches_rank():
         got = rank_many(f, batch)
         want = [rank(Mat(f, b)) for b in batch]
         assert got.tolist() == want
+
+
+RANK_QS = (2, 3, 5, 7, 251, 65521, 4, 8, 9, 16, 256)
+
+
+@st.composite
+def rank_batches(draw):
+    """(field, batch): any of batch, rows, cols may be 0; dense, sparse
+    (mostly zeros) or with the first rows repeated (rank deficient)."""
+    q = draw(st.sampled_from(RANK_QS))
+    shape = draw(st.tuples(st.integers(0, 4), st.integers(0, 7), st.integers(0, 7)))
+    kind = draw(st.sampled_from(("dense", "sparse", "duplicate")))
+    entries = st.integers(0, q - 1)
+    fill = st.just(0) if kind == "sparse" else entries
+    batch = draw(arrays(np.int64, shape, elements=entries, fill=fill))
+    if kind == "duplicate":
+        half = shape[1] // 2
+        batch[:, shape[1] - half :] = batch[:, :half]
+    return field_make(*_pm(q)), batch
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rank_batches())
+def test_rank_many_equals_rref_rank_property(case):
+    f, batch = case
+    got = rank_many(f, batch)
+    assert got.dtype == np.int64 and got.shape == batch.shape[:1]
+    assert got.tolist() == [rank(Mat(f, b)) for b in batch]
+
+
+def _deferred_bound_worst_case(q, s, dependent):
+    """An s x s matrix whose last entry loses (q-1)^2 at each of the s-1
+    elimination steps, the most the deferred reduction allows: rows
+    e_i + (q-1) e_{s-1} for i < s-1, then (q-1, ..., q-1, d).  With
+    d = (s-1) mod q the last row is (q-1) times the sum of the others."""
+    a = np.zeros((s, s), dtype=np.int64)
+    a[np.arange(s - 1), np.arange(s - 1)] = 1
+    a[:, -1] = q - 1
+    a[-1, :-1] = q - 1
+    a[-1, -1] = (s - 1 + (not dependent)) % q
+    return a
+
+
+# Shorter-side lengths on both sides of each dtype switch of the deferred
+# bound (s - 1)(q - 1)^2: int8 -> int16 for GF(2), GF(3), GF(7); int16 ->
+# int32 for GF(251); int32 -> int64 for GF(65521).  Over GF(2) wraparound
+# modulo 2^8 keeps parity, so no input can expose an int8 overflow there.
+@pytest.mark.parametrize("q,s", [(2, 129), (2, 130), (3, 33), (3, 34), (7, 4), (7, 5), (251, 1), (251, 2), (65521, 1), (65521, 2), (65521, 3)])
+def test_rank_many_dtype_boundaries(q, s):
+    f = field_make(q)
+    rng = np.random.default_rng(s)
+    square = [
+        _deferred_bound_worst_case(q, s, dependent=True),
+        _deferred_bound_worst_case(q, s, dependent=False),
+        np.full((s, s), q - 1),
+        *rng.integers(0, q, size=(3, s, s)),
+    ]
+    want = [rank(Mat(f, a)) for a in square]
+    assert want[:3] == [s - 1, s, 1]
+    tall = np.stack([np.vstack([a, np.zeros((1, s), dtype=np.int64)]) for a in square])
+    assert rank_many(f, np.stack(square)).tolist() == want
+    assert rank_many(f, tall).tolist() == want
+    assert rank_many(f, tall.transpose(0, 2, 1)).tolist() == want
+
+
+def test_rank_many_contract():
+    rng = np.random.default_rng(5)
+    f = field_make(2)
+    read_only = Mat(f, rng.integers(0, 2, size=(3, 6))).data[None]
+    before = read_only.copy()
+    assert rank_many(f, read_only).tolist() == [rank(Mat(f, read_only[0]))]
+    assert (read_only == before).all()
+    # (4, 8, 6) stores the elimination layout of the first two views (the
+    # second on the transposed path) in the dtype rank_many works in
+    for f, dtype in ((field_make(2), np.int8), (field_make(2, 2), np.int64)):
+        store = rng.integers(0, f.q, size=(4, 8, 6)).astype(dtype)
+        before = store.copy()
+        for view in (store.transpose(1, 2, 0), store.transpose(1, 0, 2), store[::-1, ::2]):
+            got = rank_many(f, view)
+            assert got.dtype == np.int64 and got.shape == view.shape[:1]
+            assert got.tolist() == [rank(Mat(f, b)) for b in view]
+        assert (store == before).all()
+    assert rank_many(f, np.zeros((0, 3, 5), dtype=np.int64)).dtype == np.int64
+    with pytest.raises(ValueError):
+        rank_many(f, np.zeros((3, 5), dtype=np.int64))
 
 
 def test_mat_mul_extension_field():
