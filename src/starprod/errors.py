@@ -57,10 +57,6 @@ class UncoveredCase(StarprodError, ValueError):
     """Parameters fall in a regime the closed form does not determine."""
 
 
-class RejectionBudgetExceeded(StarprodError, RuntimeError):
-    """Rejection sampling failed to accept within its attempt budget."""
-
-
 class NotMonomial(StarprodError, ValueError):
     """Matrix is not a monomial (scaled permutation) matrix."""
 

@@ -137,6 +137,8 @@ class FieldSpec:
     def sub(self, a, b):
         if self.m == 1:
             return (np.asarray(a) - np.asarray(b)) % self.q
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):

@@ -142,6 +142,18 @@ def rref(m: Mat) -> tuple:
     return Mat(f, a), tuple(pivots)
 
 
+def _rref_cells(pivots: np.ndarray, k: int) -> tuple:
+    """(free, ones) of the canonical k x n RREFs with the pivot columns
+    marked in a (..., n) bool array: free masks the cells (i, c) with c
+    right of row i's pivot and not a pivot, ones is int64 with the pivot
+    1s.  Both are (..., k, n)."""
+    # rows[..., c]: pivots at or left of column c, so rows i < rows[c] are pivoted by c
+    rows = np.cumsum(pivots, axis=-1)[..., None, :]
+    i = np.arange(k)[:, None]
+    piv = pivots[..., None, :]
+    return (rows > i) & ~piv, ((rows == i + 1) & piv).astype(np.int64)
+
+
 def rank(m: Mat) -> int:
     return len(rref(m)[1])
 

@@ -25,10 +25,10 @@ import numpy as np
 
 from ._tally import dim_histogram, meet_dims, star_dims
 from .codes import LinearCode, code_from_matrix
-from .errors import BadRange, BudgetExceeded, NotMonomial
+from .errors import BadRange, BudgetExceeded, NotMonomial, TooLarge
 from .exact import Params, RandomModel, qbinom
 from .fields import FieldSpec, field_from_order
-from .matrices import Mat, mat_mul, rank_many
+from .matrices import Mat, _rref_cells, mat_mul, rank_many
 
 DEFAULT_BUDGET = 2**26
 _PAIR_BLOCK = 1 << 14
@@ -54,10 +54,18 @@ def _budget(budget) -> EnumBudget:
     return budget if budget is not None else EnumBudget()
 
 
+def _index_count(q: int, width: int) -> int:
+    """q**width, or TooLarge when int64 indices cannot address that many."""
+    total = q**width
+    if total >= 2**63:
+        raise TooLarge(f"{q}**{width} enumeration indices overflow int64")
+    return total
+
+
 def _mixed_radix(idx: np.ndarray, q: int, width: int) -> np.ndarray:
     """Base-q digits of each index, most significant digit first."""
     out = np.empty((idx.size, width), dtype=np.int64)
-    place = q**width
+    place = _index_count(q, width)
     for t in range(width):
         place //= q
         out[:, t] = (idx // place) % q
@@ -69,7 +77,7 @@ def _systematic_blocks(field: FieldSpec, n: int, k: int, block: int) -> Iterator
     lexicographic order (first row first)."""
     q = field.q
     width = k * (n - k)
-    total = q**width
+    total = _index_count(q, width)
     for start in range(0, total, block):
         idx = np.arange(start, min(start + block, total), dtype=np.int64)
         g = np.zeros((idx.size, k, n), dtype=np.int64)
@@ -79,34 +87,25 @@ def _systematic_blocks(field: FieldSpec, n: int, k: int, block: int) -> Iterator
         yield g
 
 
-def _free_positions(pivots: tuple, n: int) -> list:
-    pivot_set = set(pivots)
-    return [
-        (i, c) for i in range(len(pivots)) for c in range(pivots[i] + 1, n) if c not in pivot_set
-    ]
-
-
 def _subspace_blocks(field: FieldSpec, n: int, k: int, block: int, pivot_sets=None) -> Iterator[np.ndarray]:
     """Canonical RREF bases of all k-dim subspaces as (B, k, n) tensors.
 
     Iterates pivot column sets in lexicographic order, then free entries
-    in lexicographic order; restricting pivot_sets enumerates a slice.
+    in lexicographic order (row-major cell order); restricting pivot_sets
+    enumerates a slice.
     """
     q = field.q
     if pivot_sets is None:
         pivot_sets = itertools.combinations(range(n), k)
     for pivots in pivot_sets:
-        positions = _free_positions(tuple(pivots), n)
-        base = np.zeros((k, n), dtype=np.int64)
-        base[np.arange(k), list(pivots)] = 1
-        total = q ** len(positions)
+        free, base = _rref_cells(np.isin(np.arange(n), pivots), k)
+        rows, cols = np.nonzero(free)
+        total = _index_count(q, rows.size)
         for start in range(0, total, block):
             idx = np.arange(start, min(start + block, total), dtype=np.int64)
             mats = np.broadcast_to(base, (idx.size, k, n)).copy()
-            if positions:
-                digits = _mixed_radix(idx, q, len(positions))
-                for t, (i, c) in enumerate(positions):
-                    mats[:, i, c] = digits[:, t]
+            if rows.size:
+                mats[:, rows, cols] = _mixed_radix(idx, q, rows.size)
             yield mats
 
 
@@ -223,17 +222,15 @@ def count_zero_diag_oracle(k1: int, k2: int, q: int, budget=None) -> ZeroDiagCou
     """Enumerate every k1 x k2 matrix with zero diagonal and bucket by
     rank and by the exact set of zero columns among the last k2 - k1."""
     field = field_from_order(q)
-    positions = [(i, j) for i in range(k1) for j in range(k2) if i != j]
-    total = q ** len(positions)
+    rows, cols = np.nonzero(~np.eye(k1, k2, dtype=bool))
+    total = _index_count(q, rows.size)
     _budget(budget).charge(total)
     w = k2 - k1
     counts = np.zeros((k1 + 1) * (1 << w), dtype=np.int64)
     for start in range(0, total, _SUBSPACE_BLOCK):
         idx = np.arange(start, min(start + _SUBSPACE_BLOCK, total), dtype=np.int64)
         mats = np.zeros((idx.size, k1, k2), dtype=np.int64)
-        digits = _mixed_radix(idx, q, len(positions))
-        for t, (i, j) in enumerate(positions):
-            mats[:, i, j] = digits[:, t]
+        mats[:, rows, cols] = _mixed_radix(idx, q, rows.size)
         ranks = rank_many(field, mats)
         if w:
             zero_cols = (mats[:, :, k1:] == 0).all(axis=1)

@@ -7,12 +7,15 @@ counted into one exact histogram by _tally.dim_histogram, and each
 estimate is an exact integer sum over it; floating point enters only in
 the final mean/stderr rendering.
 
-The uniform-subspace model takes the row space of a uniform full-rank
-k x n matrix, obtained by rejection; every subspace has equally many
-full-rank generators, so the result is uniform on the Grassmannian.
+The uniform-subspace model draws a canonical RREF basis directly: the
+subspaces with pivot columns P number q**(free cells of P), so a column,
+with m columns and r pivots left, is a pivot with probability
+q**(m-r) qbinom(m-1, r-1) / qbinom(m, r) (the q-binomial recurrence),
+and the free cells are uniform.  No rejection, no rank test.
 
-Uniformity caveat: raw 64-bit words are reduced mod q, a bias below
-q * 2**-64 that no statistic at these sample counts can see.
+Uniformity caveat: words are reduced mod q, a bias below q * 2**-64 per
+cell, and pivot thresholds are rounded down to multiples of 2**-64, a
+bias below 2**-64 per column; no statistic here can see either.
 """
 
 from __future__ import annotations
@@ -25,15 +28,13 @@ import numpy as np
 
 from ._tally import dim_histogram, meet_dims, resolve_threads, star_dims
 from .codes import LinearCode, code_from_matrix
-from .errors import BadRange, RejectionBudgetExceeded
-from .exact import Params, RandomModel, star_dim_lower_bound
+from .errors import BadRange
+from .exact import Params, RandomModel, qbinom, star_dim_lower_bound
 from .fields import FieldSpec, field_from_order
-from .matrices import Mat, rank_many
+from .matrices import Mat, _rref_cells
 
-_KEY_CONST = 0x5374617250726F64  # stream key tag, distinct from fallback keys
+_KEY_CONST = 0x5374617250726F64  # stream key tag
 _MASK64 = (1 << 64) - 1
-_UNIFORM_ATTEMPTS = 8
-_REJECTION_BUDGET = 1000
 _CHUNK = 4096
 
 DEFAULT_SAMPLES = 100_000
@@ -58,15 +59,8 @@ def _round4(w: int) -> int:
     return max(4, 4 * ((w + 3) // 4))
 
 
-def _pair_wps(p: Params, model: RandomModel) -> int:
-    if model is RandomModel.SYSTEMATIC:
-        w = p.k1 * (p.n - p.k1) + p.k2 * (p.n - p.k2)
-    else:
-        w = _UNIFORM_ATTEMPTS * (p.k1 + p.k2) * p.n
-    return _round4(w)
-
-
 def _systematic_from_words(field, words, n, k, offset):
+    """Systematic generators [I_k | A], A from k*(n-k) words mod q."""
     b = words.shape[0]
     g = np.zeros((b, k, n), dtype=np.int64)
     g[:, np.arange(k), np.arange(k)] = 1
@@ -76,47 +70,45 @@ def _systematic_from_words(field, words, n, k, offset):
     return g, offset + a
 
 
-def _fallback_fullrank(field, n, k, seed, sample_key) -> np.ndarray:
-    """Per-sample continuation stream for the rare case where the
-    reserved attempt slots of the main stream were all rank deficient."""
-    ph = np.random.Philox(key=np.array([seed & _MASK64, sample_key & _MASK64], dtype=np.uint64))
-    for _ in range(_REJECTION_BUDGET):
-        m = (ph.random_raw(_round4(k * n))[: k * n] % field.q).astype(np.int64).reshape(1, k, n)
-        if rank_many(field, m)[0] == k:
-            return m[0]
-    raise RejectionBudgetExceeded(
-        f"no full-rank {k} x {n} matrix over GF({field.q}) in {_REJECTION_BUDGET} attempts"
-    )
+def _pivot_thresholds(q: int, n: int, k: int) -> np.ndarray:
+    """uint64 T[m, r] = floor(2**64 * P(first of m columns is a pivot |
+    r pivots left)) = floor(2**64 * q**(m-r) qbinom(m-1, r-1) / qbinom(m, r)).
+    T[m, m] = 2**64 does not fit: the caller forces that pivot."""
+    t = np.zeros((n + 1, k + 1), dtype=np.uint64)
+    for m in range(1, n + 1):
+        for r in range(1, min(k, m - 1) + 1):
+            t[m, r] = (q ** (m - r) * qbinom(m - 1, r - 1, q) << 64) // qbinom(m, r, q)
+    return t
 
 
-def _uniform_from_words(field, words, n, k, offset, seed, first_index, slot):
-    """Uniform full-rank matrices by rejection over reserved word slots."""
+def _uniform_from_words(field, words, n, k, offset):
+    """Canonical RREF bases of uniform k-dim subspaces: n words pick the
+    pivot columns left to right, then k*n words mod q fill the free cells."""
     b = words.shape[0]
-    a = k * n
-    out = np.empty((b, k, n), dtype=np.int64)
-    need = np.ones(b, dtype=bool)
-    for t in range(_UNIFORM_ATTEMPTS):
-        idx = np.nonzero(need)[0]
-        if idx.size == 0:
-            break
-        lo = offset + t * a
-        cand = (words[idx, lo : lo + a] % field.q).astype(np.int64).reshape(idx.size, k, n)
-        ok = rank_many(field, cand) == k
-        out[idx[ok]] = cand[ok]
-        need[idx[ok]] = False
-    for j in np.nonzero(need)[0]:
-        out[j] = _fallback_fullrank(field, n, k, seed, ((first_index + int(j)) << 1) | slot)
-    return out, offset + _UNIFORM_ATTEMPTS * a
+    thresholds = _pivot_thresholds(field.q, n, k)
+    pivots = np.empty((b, n), dtype=bool)
+    left = np.full(b, k)
+    for j in range(n):
+        pivots[:, j] = (words[:, offset + j] < thresholds[n - j, left]) | (left == n - j)
+        left -= pivots[:, j]
+    free, g = _rref_cells(pivots, k)
+    lo = offset + n
+    g += (words[:, lo : lo + k * n] % field.q).astype(np.int64).reshape(b, k, n) * free
+    return g, lo + k * n
+
+
+# per model: words one code takes from its sample's slice, and its decoder
+_LAYOUT = {
+    RandomModel.SYSTEMATIC: (lambda n, k: k * (n - k), _systematic_from_words),
+    RandomModel.UNIFORM_SUBSPACE: (lambda n, k: (k + 1) * n, _uniform_from_words),
+}
 
 
 def _pair_generators(field, p: Params, model: RandomModel, seed, start, count):
-    words = _raw_words(seed, start, count, _pair_wps(p, model))
-    if model is RandomModel.SYSTEMATIC:
-        g1, off = _systematic_from_words(field, words, p.n, p.k1, 0)
-        g2, _ = _systematic_from_words(field, words, p.n, p.k2, off)
-    else:
-        g1, off = _uniform_from_words(field, words, p.n, p.k1, 0, seed, start, 0)
-        g2, _ = _uniform_from_words(field, words, p.n, p.k2, off, seed, start, 1)
+    code_words, from_words = _LAYOUT[model]
+    words = _raw_words(seed, start, count, _round4(code_words(p.n, p.k1) + code_words(p.n, p.k2)))
+    g1, off = from_words(field, words, p.n, p.k1, 0)
+    g2, _ = from_words(field, words, p.n, p.k2, off)
     return g1, g2
 
 
@@ -135,14 +127,8 @@ def sample_code(
     """
     if not 1 <= k <= n:
         raise BadRange(f"need 1 <= k <= n, got k={k} n={n}")
-    if model is RandomModel.SYSTEMATIC:
-        wps = _round4(k * (n - k))
-        words = _raw_words(seed, index, 1, wps)
-        g, _ = _systematic_from_words(field, words, n, k, 0)
-    else:
-        wps = _round4(_UNIFORM_ATTEMPTS * k * n)
-        words = _raw_words(seed, index, 1, wps)
-        g, _ = _uniform_from_words(field, words, n, k, 0, seed, index, 0)
+    code_words, from_words = _LAYOUT[model]
+    g, _ = from_words(field, _raw_words(seed, index, 1, _round4(code_words(n, k))), n, k, 0)
     return code_from_matrix(Mat(field, g[0]))
 
 

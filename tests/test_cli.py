@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -214,3 +215,28 @@ def test_example_mds_dump(tmp_path, capsys):
     c1, c2 = mds63_gf7_codes()
     assert code_from_matrix(load_matrix(out_dir / "C1.mat")) == c1
     assert code_from_matrix(load_matrix(out_dir / "C2.mat")) == c2
+
+
+GOLDEN_STDOUT = {
+    "table1 --samples 2000 --seed 7 --format json --threads 2":
+        "787ffeba38164e612212f7ff5e891df12f7afcfd4cf5c2bb469fbb70ee3d61ae",
+    "mc -q 4 -n 4 -k1 2 -k2 2 --model uniform --stat kernel-size --samples 4113 --threads 2":
+        "e9ce6b3d39c45c05d3873b764252c71779fe1c2ebafdb0dc881f4679c1367f8f",
+    "mc -q 7 -n 15 -k1 3 -k2 4 --stat full-dim --samples 4113 --threads 1":
+        "081691ba17d24475aea62809c40decbfcfd55168afba7d81f15bfd8bce2b63ac",
+    "intersect -q 8 -n 4 -k1 2 -k2 2 --mc --samples 4113":
+        "a287a480d3b3df46ca7a803047bbdd8d02e1c874f106d0d495c4cee67887ce00",
+    "oracle --check all":
+        "2fd59a5576b0cbc28d1f03a7fe532c6189f502318be05482b27cff5013cc9eb5",
+    "example-mds --l 1 --threads 2":
+        "8df0447f373a1c246829f0b4d3935061be01d67fd52b939ee986ce35ee1731b9",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_STDOUT))
+def test_golden_stdout(capsys, command):
+    # byte-exact stdout of the recorded commands; the uniform-model ones
+    # change only with the uniform sample stream
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]

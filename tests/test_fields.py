@@ -95,6 +95,17 @@ def test_field_axioms_randomized(q):
         assert arr.min() >= 0 and arr.max() < q
 
 
+@pytest.mark.parametrize("q", [4, 8, 256])
+def test_binary_extension_sub_is_add_neg(q):
+    # sub over GF(2^m) is a plain XOR; it must agree with add(a, neg(b))
+    # on every element pair and leave both operands untouched
+    f = field_from_order(q)
+    a, b = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
+    a0, b0 = a.copy(), b.copy()
+    assert (f.sub(a, b) == f.add(a, f.neg(b))).all()
+    assert (a == a0).all() and (b == b0).all()
+
+
 def test_large_prime_field_inverse_table():
     f = field_make(65521)  # largest prime below 2**16
     rng = np.random.default_rng(0)

@@ -27,7 +27,7 @@ from starprod import (
     star_product,
 )
 from starprod.catalog import mds63_gf7_codes
-from starprod.errors import BadRange, BudgetExceeded, NotMonomial, ZeroCode
+from starprod.errors import BadRange, BudgetExceeded, NotMonomial, TooLarge, ZeroCode
 
 
 def test_enum_budget():
@@ -226,3 +226,14 @@ def test_enumerators_validate_dimensions():
         next(enumerate_systematic(f2, 3, 0))
     with pytest.raises(BadRange):
         next(enumerate_subspaces(f2, 3, 4))
+
+
+def test_enumeration_indices_beyond_int64_raise_too_large():
+    # a raised budget must not let q**width indices wrap or overflow int64
+    huge = EnumBudget(2**200)
+    with pytest.raises(TooLarge):
+        exact_expected_kernel(Params(2, 40, 2, 2), budget=huge)
+    with pytest.raises(TooLarge):
+        exact_expected_star_dim(Params(2, 40, 2, 2), RandomModel.UNIFORM_SUBSPACE, budget=huge)
+    with pytest.raises(TooLarge):
+        count_zero_diag_oracle(8, 9, 2, budget=huge)

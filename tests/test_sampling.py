@@ -1,9 +1,14 @@
+import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starprod import (
     Estimate,
@@ -13,19 +18,23 @@ from starprod import (
     TABLE1_GRID,
     exact_expected_kernel,
     exact_expected_intersection,
+    exact_expected_star_dim,
     expected_intersection_dim,
     expected_kernel_size,
+    field_from_order,
     field_make,
     mc_full_dim_frequency,
     mc_intersection_dim,
     mc_kernel_size,
     mc_star_dim,
+    qbinom,
     reproduce_table1,
     sample_code,
     star_dim_lower_bound,
 )
 from starprod._tally import star_dims
-from starprod.errors import BadRange, RejectionBudgetExceeded
+from starprod.errors import BadRange
+from starprod.matrices import Mat, rref
 import starprod.sampling as sampling
 
 
@@ -73,10 +82,77 @@ def test_sample_code_validation():
         sample_code(f2, 3, 4)
 
 
-def test_rejection_budget_error(monkeypatch):
-    monkeypatch.setattr(sampling, "_REJECTION_BUDGET", 0)
-    with pytest.raises(RejectionBudgetExceeded):
-        sampling._fallback_fullrank(field_make(2), 3, 2, seed=0, sample_key=1)
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 5, 2), (4, 4, 2), (2, 6, 3)])
+def test_pivot_thresholds_exact(q, n, k):
+    # walking the columns with the threshold table picks each pivot set P
+    # with probability q**(free cells of P) / qbinom(n, k), up to the
+    # rounding of each threshold down to a multiple of 2**-64
+    t = sampling._pivot_thresholds(q, n, k)
+    one = Fraction(1)
+    total = Fraction(0)
+    for pivots in itertools.combinations(range(n), k):
+        prob, left = one, k
+        for j in range(n):
+            m = n - j
+            if left == m:
+                assert j in pivots
+                left -= 1
+                continue
+            step = Fraction(int(t[m, left]), 2**64)
+            prob *= step if j in pivots else one - step
+            left -= j in pivots
+        free = sum(n - c - (k - i) for i, c in enumerate(pivots))
+        want = Fraction(q**free, qbinom(n, k, q))
+        assert abs(prob - want) <= Fraction(n, 2**64), pivots
+        total += prob
+    assert abs(total - 1) <= Fraction(n, 2**64)
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (4, 3, 1)])
+def test_uniform_subspace_chi_square(q, n, k):
+    # every draw is a canonical RREF basis, every subspace appears, and the
+    # counts pass a chi-square test of uniformity
+    field = field_from_order(q)
+    draws = 40_000
+    words = sampling._raw_words(23, 0, draws, sampling._round4((k + 1) * n))
+    g, used = sampling._uniform_from_words(field, words, n, k, 0)
+    assert used == (k + 1) * n
+    for mat in g[:200]:
+        assert (rref(Mat(field, mat))[0].data == mat).all()
+    counts = Counter(mat.tobytes() for mat in g)
+    cells = qbinom(n, k, q)
+    assert len(counts) == cells
+    expected = draws / cells
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    p_value = mpmath.gammainc((cells - 1) / 2, chi2 / 2, mpmath.inf, regularized=True)
+    assert p_value > 1e-3, (chi2, cells)
+
+
+@pytest.mark.parametrize("q,n,k1,k2", [(2, 4, 2, 2), (4, 4, 2, 2), (2, 5, 2, 3)])
+def test_uniform_mc_means_match_oracles(q, n, k1, k2):
+    p = Params(q, n, k1, k2)
+    model = RandomModel.UNIFORM_SUBSPACE
+    for est, exact in [
+        (mc_star_dim(p, model, 20_000, 31), exact_expected_star_dim(p, model)),
+        (mc_intersection_dim(p, 20_000, 32), exact_expected_intersection(p)),
+    ]:
+        assert abs(est.mean_f64 - float(exact)) <= 4 * est.stderr
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    model=st.sampled_from(list(RandomModel)),
+    start=st.integers(0, 2 * sampling._CHUNK + 9),
+    count=st.integers(1, 70),
+)
+def test_pair_generators_chunk_independent(model, start, count):
+    # any window of samples equals the matching rows of one covering call
+    field = field_make(3)
+    p = Params(3, 6, 2, 3)
+    whole = sampling._pair_generators(field, p, model, 5, 0, start + count)
+    part = sampling._pair_generators(field, p, model, 5, start, count)
+    for a, b in zip(part, whole):
+        assert (a == b[start:]).all()
 
 
 def test_mc_star_dim_full_space_exact():
@@ -108,7 +184,7 @@ def test_mc_golden_totals():
     p = Params(3, 5, 2, 2)
     want = {
         RandomModel.SYSTEMATIC: (2160, 1120, 370),
-        RandomModel.UNIFORM_SUBSPACE: (1979, 1818, 258),
+        RandomModel.UNIFORM_SUBSPACE: (2006, 1704, 267),
     }
     for model, totals in want.items():
         got = tuple(
@@ -116,7 +192,7 @@ def test_mc_golden_totals():
             for fn in (mc_star_dim, mc_kernel_size, mc_full_dim_frequency)
         )
         assert got == totals, model
-    assert mc_intersection_dim(p, 600, 11, 1).total == 88
+    assert mc_intersection_dim(p, 600, 11, 1).total == 83
 
 
 def test_mc_star_dim_uniform_model_runs():
