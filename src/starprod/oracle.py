@@ -9,14 +9,34 @@ silently samples is not an oracle.
 Two enumeration orders matter and are deliberately different:
 
 * systematic generators are enumerated as matrices (distinct matrices may
-  share a row space), mirroring the systematic random model exactly;
+  share a row space), mirroring the systematic random model exactly; a
+  generator [I_k | A] is the canonical RREF with pivot columns range(k);
 * subspaces are enumerated once each via their canonical RREF bases
   (pivot column sets, then free entries), mirroring the uniform model.
+
+The pair oracles rank one representative per column-scaling orbit.
+Scaling a non-pivot column of an RREF basis by a nonzero scalar gives
+another RREF basis with the same pivots, and dim(C1 star C2) does not
+change when C1 or C2 is scaled column by column, each independently.  So
+_orbit_blocks yields only the bases whose non-pivot columns are zero or
+have topmost nonzero entry 1, each with z, its number of nonzero
+non-pivot columns: it stands for (q-1)**z bases.  Histograms are keyed
+by (z, dim) and weighted with Python ints at the end, so results stay
+exact.  The star-dimension and kernel oracles reduce both sides and the
+fixed-code oracle its enumerated side.  The intersection oracle reduces
+only its outer side, because the intersection is invariant under joint
+scaling only (see exact_expected_intersection).  At q = 2 every orbit is
+a single basis and nothing is saved.
+
+An EnumBudget is charged the number of pairs (or subspaces) represented,
+not the number of orbit representatives ranked, so an oracle call raises
+BudgetExceeded at the same sizes whatever the enumeration ranks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -54,59 +74,134 @@ def _budget(budget) -> EnumBudget:
     return budget if budget is not None else EnumBudget()
 
 
-def _index_count(q: int, width: int) -> int:
-    """q**width, or TooLarge when int64 indices cannot address that many."""
-    total = q**width
+def _index_count(radices) -> int:
+    """Product of the mixed radices, or TooLarge when int64 indices
+    cannot address that many."""
+    total = math.prod(radices)
     if total >= 2**63:
-        raise TooLarge(f"{q}**{width} enumeration indices overflow int64")
+        raise TooLarge(f"{total} enumeration indices overflow int64")
     return total
 
 
-def _mixed_radix(idx: np.ndarray, q: int, width: int) -> np.ndarray:
-    """Base-q digits of each index, most significant digit first."""
-    out = np.empty((idx.size, width), dtype=np.int64)
-    place = _index_count(q, width)
-    for t in range(width):
-        place //= q
-        out[:, t] = (idx // place) % q
+def _mixed_radix(idx: np.ndarray, radices) -> np.ndarray:
+    """Mixed-radix digits of each index, most significant digit first."""
+    out = np.empty((idx.size, len(radices)), dtype=np.int64)
+    place = _index_count(radices)
+    for t, r in enumerate(radices):
+        place //= r
+        out[:, t] = (idx // place) % r
     return out
 
 
-def _systematic_blocks(field: FieldSpec, n: int, k: int, block: int) -> Iterator[np.ndarray]:
-    """All systematic generators [I_k | A] as (B, k, n) tensors, A in
-    lexicographic order (first row first)."""
-    q = field.q
-    width = k * (n - k)
-    total = _index_count(q, width)
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        g = np.zeros((idx.size, k, n), dtype=np.int64)
-        g[:, np.arange(k), np.arange(k)] = 1
-        if width:
-            g[:, :, k:] = _mixed_radix(idx, q, width).reshape(idx.size, k, n - k)
-        yield g
+def _pivot_sets(n: int, k: int, model: RandomModel) -> list:
+    """A systematic generator [I_k | A] is the RREF with pivots range(k)."""
+    if model is RandomModel.SYSTEMATIC:
+        return [tuple(range(k))]
+    return list(itertools.combinations(range(n), k))
 
 
-def _subspace_blocks(field: FieldSpec, n: int, k: int, block: int, pivot_sets=None) -> Iterator[np.ndarray]:
-    """Canonical RREF bases of all k-dim subspaces as (B, k, n) tensors.
+def _subspace_blocks(field: FieldSpec, n: int, k: int, block: int, pivot_sets) -> Iterator[np.ndarray]:
+    """Canonical RREF bases of the k-dim subspaces with the given pivot
+    column sets, as (B, k, n) tensors.
 
-    Iterates pivot column sets in lexicographic order, then free entries
-    in lexicographic order (row-major cell order); restricting pivot_sets
-    enumerates a slice.
+    Iterates pivot_sets in order, then free entries in lexicographic order
+    (row-major cell order).
     """
     q = field.q
-    if pivot_sets is None:
-        pivot_sets = itertools.combinations(range(n), k)
     for pivots in pivot_sets:
         free, base = _rref_cells(np.isin(np.arange(n), pivots), k)
         rows, cols = np.nonzero(free)
-        total = _index_count(q, rows.size)
+        radices = [q] * rows.size
+        total = _index_count(radices)
         for start in range(0, total, block):
             idx = np.arange(start, min(start + block, total), dtype=np.int64)
             mats = np.broadcast_to(base, (idx.size, k, n)).copy()
             if rows.size:
-                mats[:, rows, cols] = _mixed_radix(idx, q, rows.size)
+                mats[:, rows, cols] = _mixed_radix(idx, radices)
             yield mats
+
+
+def _orbit_count(q: int, h: int) -> int:
+    """Orbits of F_q^h under scaling by F_q^*: zero and the projective
+    points.  Their representatives are decoded as integers below q**h,
+    which must therefore fit int64 too."""
+    return 1 + (_index_count([q] * h) - 1) // (q - 1)
+
+
+def _orbit_blocks(field: FieldSpec, n: int, k: int, block: int, pivot_sets) -> Iterator[tuple]:
+    """(mats, z) blocks of the canonical RREF bases with the given pivot
+    column sets whose non-pivot columns are zero or have topmost nonzero
+    entry 1, one per column-scaling orbit; z counts the nonzero non-pivot
+    columns.  The free cells of a column c are its top h_c rows, h_c being
+    the number of pivots left of c."""
+    q = field.q
+    for pivots in pivot_sets:
+        free, base = _rref_cells(np.isin(np.arange(n), pivots), k)
+        heights = free.sum(axis=0)
+        cols = np.nonzero(heights)[0]
+        h = heights[cols, None]
+        radices = [_orbit_count(q, int(hc)) for hc in h[:, 0]]
+        total = _index_count(radices)
+        # A column is decoded as the integer whose base-q digits it holds.
+        # Orbit 0 is the zero column.  The representatives with m entries
+        # after their leading 1 are the integers q^m + [0, q^m), orbits
+        # starts[m+1] = 1 + (q^m - 1)/(q - 1) on.  Past h_c, starts holds
+        # the column's orbit count, which exceeds every orbit index.
+        powers = np.concatenate(([0], q ** np.arange(h.max(initial=0), dtype=np.int64)))
+        counts = np.array(radices, dtype=np.int64)[:, None]
+        starts = np.where(np.arange(powers.size) <= h, 1 + (powers - 1) // (q - 1), counts)
+        rows, cell_cols = np.nonzero(free)
+        cell_t = np.searchsorted(cols, cell_cols)
+        place = q ** (heights[cell_cols] - 1 - rows)
+        for start in range(0, total, block):
+            idx = np.arange(start, min(start + block, total), dtype=np.int64)
+            orbits = _mixed_radix(idx, radices)
+            m = (orbits[:, :, None] >= starts).sum(axis=2) - 1
+            value = powers[m] + orbits - starts[np.arange(cols.size), m]
+            mats = np.broadcast_to(base, (idx.size, k, n)).copy()
+            mats[:, rows, cell_cols] = value[:, cell_t] // place % q
+            yield mats, np.count_nonzero(orbits, axis=1)
+
+
+def _packed(pieces, rows: int) -> Iterator[tuple]:
+    """Consecutive (mats, z) pieces of at most rows rows each, concatenated
+    into batches of at most rows rows, so that pivot sets with few
+    representatives do not each cost a batch of their own."""
+
+    def concat(buf):
+        return buf[0] if len(buf) == 1 else tuple(np.concatenate(parts) for parts in zip(*buf))
+
+    buf, size = [], 0
+    for piece in pieces:
+        if buf and size + len(piece[1]) > rows:
+            yield concat(buf)
+            buf, size = [], 0
+        buf.append(piece)
+        size += len(piece[1])
+    if buf:
+        yield concat(buf)
+
+
+def _orbit_histogram(field: FieldSpec, stat, size: int, z_max: int, jobs, pairs, threads: int = 1) -> list:
+    """Exact histogram of stat over the pairs represented by the
+    ((g1, z1), (g2, z2)) batches that pairs(job) yields, z1 + z2 having the
+    broadcast shape of the generators' leading axes: a pair stands for
+    (q-1)**(z1 + z2) pairs, which are counted by the key z*size + dim and
+    weighted at the end."""
+
+    def keys(field, a, b):
+        (g1, z1), (g2, z2) = a, b
+        return stat(field, g1, g2) + size * (z1 + z2).ravel()
+
+    keyed = dim_histogram(field, keys, size * (z_max + 1), jobs, pairs, threads)
+    hist = [0] * size
+    for key, c in enumerate(keyed):
+        hist[key % size] += c * (field.q - 1) ** (key // size)
+    return hist
+
+
+def _mean(hist: list, count: int) -> Fraction:
+    return Fraction(sum(d * c for d, c in enumerate(hist)), count)
 
 
 def systematic_count(q: int, n: int, k: int) -> int:
@@ -122,7 +217,7 @@ def enumerate_systematic(field: FieldSpec, n: int, k: int, budget=None) -> Itera
     """Every systematic generator [I_k | A], one code object per matrix."""
     _check_dims(n, k)
     _budget(budget).charge(systematic_count(field.q, n, k))
-    for g in _systematic_blocks(field, n, k, _SUBSPACE_BLOCK):
+    for g in _subspace_blocks(field, n, k, _SUBSPACE_BLOCK, _pivot_sets(n, k, RandomModel.SYSTEMATIC)):
         for mat in g:
             yield code_from_matrix(Mat(field, mat))
 
@@ -131,34 +226,51 @@ def enumerate_subspaces(field: FieldSpec, n: int, k: int, budget=None) -> Iterat
     """Every k-dimensional subspace of F_q^n, exactly once."""
     _check_dims(n, k)
     _budget(budget).charge(qbinom(n, k, field.q))
-    for block in _subspace_blocks(field, n, k, _SUBSPACE_BLOCK):
+    for block in _subspace_blocks(field, n, k, _SUBSPACE_BLOCK, _pivot_sets(n, k, RandomModel.UNIFORM_SUBSPACE)):
         for mat in block:
             m = Mat(field, mat)
             pivots = tuple(int(np.argmax(row != 0)) for row in mat)
             yield LinearCode(field, m, pivots)
 
 
-def _pair_histogram(p: Params, model: RandomModel, stat, budget) -> tuple:
+def _pair_histogram(p: Params, model: RandomModel, stat, budget, reduce_inner: bool = True) -> tuple:
     """Exact histogram of stat over every generator pair of the model,
     with the pair count.  Its length min(k1*k2, n) + 1 bounds both
-    statistics, since an intersection has dim <= k1."""
+    statistics, since an intersection has dim <= k1.
+
+    The outer side runs over column-scaling orbits, and so does the inner
+    side when reduce_inner is set (see the module docstring)."""
     field = field_from_order(p.q)
     if model is RandomModel.SYSTEMATIC:
-        blocks = _systematic_blocks
         count = systematic_count(p.q, p.n, p.k1) * systematic_count(p.q, p.n, p.k2)
     else:
-        blocks = _subspace_blocks
         count = qbinom(p.n, p.k1, p.q) * qbinom(p.n, p.k2, p.q)
     _budget(budget).charge(count)
+    inner_pivots = _pivot_sets(p.n, p.k2, model)
 
-    def pairs(g1):
+    def inner_blocks():
+        if reduce_inner:
+            pieces = _orbit_blocks(field, p.n, p.k2, _SUBSPACE_BLOCK, inner_pivots)
+        else:
+            blocks = _subspace_blocks(field, p.n, p.k2, _SUBSPACE_BLOCK, inner_pivots)
+            pieces = ((g, np.zeros(len(g), dtype=np.int64)) for g in blocks)
+        return _packed(pieces, _SUBSPACE_BLOCK)
+
+    # an inner side that fits one block is built once, not once per outer batch
+    head = list(itertools.islice(inner_blocks(), 2))
+    reusable = len(head) == 1
+
+    def pairs(outer):
+        g1, z1 = outer
         inner = _PAIR_BLOCK // g1.shape[0]
-        for g2 in blocks(field, p.n, p.k2, _SUBSPACE_BLOCK):
+        for g2, z2 in head if reusable else inner_blocks():
             for s2 in range(0, g2.shape[0], inner):
-                yield g1[:, None], g2[None, s2 : s2 + inner]
+                yield (g1[:, None], z1[:, None]), (g2[None, s2 : s2 + inner], z2[None, s2 : s2 + inner])
 
     size = min(p.k1 * p.k2, p.n) + 1
-    return dim_histogram(field, stat, size, blocks(field, p.n, p.k1, 64), pairs), count
+    z_max = p.n - p.k1 + (p.n - p.k2 if reduce_inner else 0)
+    outer = _packed(_orbit_blocks(field, p.n, p.k1, 64, _pivot_sets(p.n, p.k1, model)), 64)
+    return _orbit_histogram(field, stat, size, z_max, outer, pairs), count
 
 
 def exact_expected_kernel(p: Params, budget=None) -> Fraction:
@@ -172,8 +284,26 @@ def exact_expected_kernel(p: Params, budget=None) -> Fraction:
 
 def exact_expected_star_dim(p: Params, model: RandomModel, budget=None) -> Fraction:
     """Exact average star dimension over all pairs under the model."""
-    hist, count = _pair_histogram(p, model, star_dims, budget)
-    return Fraction(sum(d * c for d, c in enumerate(hist)), count)
+    return _mean(*_pair_histogram(p, model, star_dims, budget))
+
+
+def _fixed_histogram(c: LinearCode, ell: int, budget, threads: int) -> tuple:
+    """Exact histogram of dim(C star D) over all ell-dim subspaces D, D
+    running over column-scaling orbits, with the subspace count.  One job
+    per pivot column set, so threads > 1 runs on several threads."""
+    field = c.field
+    _check_dims(c.n, ell)
+    count = qbinom(c.n, ell, field.q)
+    _budget(budget).charge(count)
+    basis = c.basis.data[None], 0
+
+    def pairs(pivots):
+        for block in _orbit_blocks(field, c.n, ell, _SUBSPACE_BLOCK, [pivots]):
+            yield basis, block
+
+    size = min(c.k * ell, c.n) + 1
+    pivot_sets = _pivot_sets(c.n, ell, RandomModel.UNIFORM_SUBSPACE)
+    return _orbit_histogram(field, star_dims, size, c.n - ell, pivot_sets, pairs, threads or 1), count
 
 
 def exact_expected_star_dim_fixed(
@@ -181,28 +311,21 @@ def exact_expected_star_dim_fixed(
 ) -> Fraction:
     """Exact average of dim(C star D) over all ell-dim subspaces D.
 
-    One job per pivot column set, so threads > 1 runs the enumeration on
-    several threads.
+    threads > 1 runs the enumeration on several threads.
     """
-    field = c.field
-    _check_dims(c.n, ell)
-    total_subspaces = qbinom(c.n, ell, field.q)
-    _budget(budget).charge(total_subspaces)
-    basis = c.basis.data[None]
-
-    def pairs(pivots):
-        for block in _subspace_blocks(field, c.n, ell, _SUBSPACE_BLOCK, [pivots]):
-            yield basis, block
-
-    pivot_sets = list(itertools.combinations(range(c.n), ell))
-    hist = dim_histogram(field, star_dims, min(c.k * ell, c.n) + 1, pivot_sets, pairs, threads or 1)
-    return Fraction(sum(d * cnt for d, cnt in enumerate(hist)), total_subspaces)
+    return _mean(*_fixed_histogram(c, ell, budget, threads))
 
 
 def exact_expected_intersection(p: Params, budget=None) -> Fraction:
-    """Exact average of dim(C1 meet C2) over all subspace pairs."""
-    hist, count = _pair_histogram(p, RandomModel.UNIFORM_SUBSPACE, meet_dims, budget)
-    return Fraction(sum(d * c for d, c in enumerate(hist)), count)
+    """Exact average of dim(C1 meet C2) over all subspace pairs.
+
+    Only the outer side C1 runs over column-scaling orbits.  That is
+    exact: for an invertible diagonal T, dim(C1 T meet C2) = dim(C1 meet
+    C2 T^-1), and C2 -> C2 T^-1 permutes the k2-subspaces, so C1 T and C1
+    have the same histogram over all C2.  Scaling C2 alone is not allowed,
+    since the intersection is invariant only under joint scaling.
+    """
+    return _mean(*_pair_histogram(p, RandomModel.UNIFORM_SUBSPACE, meet_dims, budget, reduce_inner=False))
 
 
 @dataclass
@@ -223,14 +346,15 @@ def count_zero_diag_oracle(k1: int, k2: int, q: int, budget=None) -> ZeroDiagCou
     rank and by the exact set of zero columns among the last k2 - k1."""
     field = field_from_order(q)
     rows, cols = np.nonzero(~np.eye(k1, k2, dtype=bool))
-    total = _index_count(q, rows.size)
+    radices = [q] * rows.size
+    total = _index_count(radices)
     _budget(budget).charge(total)
     w = k2 - k1
     counts = np.zeros((k1 + 1) * (1 << w), dtype=np.int64)
     for start in range(0, total, _SUBSPACE_BLOCK):
         idx = np.arange(start, min(start + _SUBSPACE_BLOCK, total), dtype=np.int64)
         mats = np.zeros((idx.size, k1, k2), dtype=np.int64)
-        mats[:, rows, cols] = _mixed_radix(idx, q, rows.size)
+        mats[:, rows, cols] = _mixed_radix(idx, radices)
         ranks = rank_many(field, mats)
         if w:
             zero_cols = (mats[:, :, k1:] == 0).all(axis=1)

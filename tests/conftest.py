@@ -1,18 +1,6 @@
-import os
-
 import numpy as np
-import pytest
 
 from starprod import Mat, code_from_matrix, field_make
-
-
-def pytest_collection_modifyitems(config, items):
-    if os.environ.get("STARPROD_RUN_LONG"):
-        return
-    skip = pytest.mark.skip(reason="long test; set STARPROD_RUN_LONG=1 to run")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
 
 
 def random_code(field, n, k, rng):

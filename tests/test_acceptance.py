@@ -12,7 +12,6 @@ import json
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from starprod import (
     Params,
@@ -143,13 +142,12 @@ def test_criterion_05_fixed_code_expectations_dim2():
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_05_fixed_code_expectations_dim3():
     c1, c2 = mds63_gf7_codes()
     e1 = exact_expected_star_dim_fixed(c1, 3, threads=THREADS)
     e2 = exact_expected_star_dim_fixed(c2, 3, threads=THREADS)
     ok = e1 == e2 == Fraction(72051027, 12044300)
-    report("5 (long)", ok, "GF(7) fixed-code expectations at partner dimension 3", f"{e1} and {e2}")
+    report("5", ok, "GF(7) fixed-code expectations at partner dimension 3", f"{e1} and {e2}")
     assert ok
 
 

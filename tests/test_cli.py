@@ -187,6 +187,15 @@ def test_oracle_support_check(capsys):
     assert code == 0 and "all checks passed" in out
 
 
+def test_failed_oracle_check_exit_code(monkeypatch, capsys):
+    from starprod import exact
+
+    monkeypatch.setattr(exact, "expected_kernel_size", lambda p: -1)
+    code, out, _ = run(capsys, "oracle", "--check", "kernel", "--qmax", "2", "--nmax", "2")
+    assert code == 1
+    assert "FAIL kernel q=2 n=1 k1=1 k2=1" in out and "checks FAILED" in out
+
+
 def test_budget_exit_code(tmp_path, capsys):
     # a partner-dimension enumeration far beyond the budget fails fast
     f2 = field_make(2)

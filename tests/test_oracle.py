@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +27,14 @@ from starprod import (
     star_dim_lower_bound,
     star_product,
 )
+from starprod import oracle
+from starprod._tally import dim_histogram, meet_dims, star_dims
 from starprod.catalog import mds63_gf7_codes
+from starprod.fields import field_from_order
+from starprod.oracle import DEFAULT_BUDGET, systematic_count
 from starprod.errors import BadRange, BudgetExceeded, NotMonomial, TooLarge, ZeroCode
+
+from conftest import random_code
 
 
 def test_enum_budget():
@@ -237,3 +244,151 @@ def test_enumeration_indices_beyond_int64_raise_too_large():
         exact_expected_star_dim(Params(2, 40, 2, 2), RandomModel.UNIFORM_SUBSPACE, budget=huge)
     with pytest.raises(TooLarge):
         count_zero_diag_oracle(8, 9, 2, budget=huge)
+
+
+# -- column-scaling orbit reduction -------------------------------------------
+
+ORBIT_QS = (2, 3, 4, 5, 7, 8, 9)
+FULL_PAIRS_LIMIT = 1 << 13  # pairs the full reference enumeration ranks per point
+
+
+def _full_blocks(field, n, k, model):
+    pivots = oracle._pivot_sets(n, k, model)
+    return np.concatenate(list(oracle._subspace_blocks(field, n, k, 1 << 15, pivots)))
+
+
+def _full_histogram(field, stat, size, g1, g2):
+    """Histogram of stat over every (g1[i], g2[j]) pair, enumerated in full."""
+    jobs = [g1[i : i + 64] for i in range(0, len(g1), 64)]
+    return dim_histogram(field, stat, size, jobs, lambda g: [(g[:, None], g2[None])])
+
+
+def _small_pair_points(model):
+    for q in ORBIT_QS:
+        for n in range(1, 6):
+            for k1 in range(1, n + 1):
+                for k2 in range(k1, n + 1):
+                    if model is RandomModel.SYSTEMATIC:
+                        count = systematic_count(q, n, k1) * systematic_count(q, n, k2)
+                    else:
+                        count = qbinom(n, k1, q) * qbinom(n, k2, q)
+                    if count <= FULL_PAIRS_LIMIT:
+                        yield Params(q, n, k1, k2)
+
+
+@pytest.mark.parametrize(
+    "model, stat, reduce_inner",
+    [
+        (RandomModel.SYSTEMATIC, star_dims, True),
+        (RandomModel.UNIFORM_SUBSPACE, star_dims, True),
+        (RandomModel.UNIFORM_SUBSPACE, meet_dims, False),
+    ],
+    ids=["star-systematic", "star-uniform", "intersection"],
+)
+def test_orbit_pair_histograms_equal_full_enumeration(model, stat, reduce_inner):
+    # the star-dim and kernel oracles share the star-dim histogram
+    points = list(_small_pair_points(model))
+    assert {p.q for p in points} == set(ORBIT_QS)
+    for p in points:
+        field = field_from_order(p.q)
+        hist, count = oracle._pair_histogram(p, model, stat, None, reduce_inner)
+        g1 = _full_blocks(field, p.n, p.k1, model)
+        g2 = _full_blocks(field, p.n, p.k2, model)
+        assert len(g1) * len(g2) == count
+        assert hist == _full_histogram(field, stat, len(hist), g1, g2), p
+        assert sum(hist) == count
+
+
+def test_orbit_fixed_histograms_equal_full_enumeration():
+    rng = np.random.default_rng(7)
+    checked = set()
+    for q in ORBIT_QS:
+        field = field_from_order(q)
+        for n in range(2, 6):
+            for k in range(1, n):
+                code = random_code(field, n, k, rng)
+                for ell in range(1, n + 1):
+                    count = qbinom(n, ell, q)
+                    if count > FULL_PAIRS_LIMIT:
+                        continue
+                    hist, got = oracle._fixed_histogram(code, ell, None, 1)
+                    g2 = _full_blocks(field, n, ell, RandomModel.UNIFORM_SUBSPACE)
+                    assert got == count == len(g2)
+                    assert hist == _full_histogram(field, star_dims, len(hist), code.basis.data[None], g2)
+                    assert sum(hist) == count
+                    checked.add(q)
+    assert checked == set(ORBIT_QS)
+
+
+def test_orbit_blocks_cover_every_basis_once():
+    # expanding each representative by its column scalings gives every
+    # RREF basis exactly once, with (q-1)**z bases per representative
+    for q, n, k in [(3, 4, 2), (4, 4, 2), (5, 3, 1), (9, 3, 2)]:
+        field = field_from_order(q)
+        full = _full_blocks(field, n, k, RandomModel.UNIFORM_SUBSPACE)
+        pivots = oracle._pivot_sets(n, k, RandomModel.UNIFORM_SUBSPACE)
+        seen = []
+        for mats, z in oracle._orbit_blocks(field, n, k, 5, pivots):
+            for g, zi in zip(mats, z):
+                nonpivot = [c for c in range(n) if g[:, c].any() and c not in np.argmax(g != 0, axis=1)]
+                assert len(nonpivot) == zi
+                assert all(g[np.argmax(g[:, c] != 0), c] == 1 for c in nonpivot)
+                for scales in itertools.product(range(1, q), repeat=len(nonpivot)):
+                    d = np.ones(n, dtype=np.int64)
+                    d[nonpivot] = scales
+                    seen.append(field.mul(g, d).tobytes())
+        assert len(seen) == len(set(seen)) == len(full)
+        assert set(seen) == {g.tobytes() for g in full}
+
+
+def test_orbit_oracles_reach_new_ground_truth():
+    # points the full enumeration could not reach under the default budget
+    for p in (Params(7, 5, 2, 2), Params(5, 5, 2, 3)):
+        count = systematic_count(p.q, p.n, p.k1) * systematic_count(p.q, p.n, p.k2)
+        assert count > DEFAULT_BUDGET
+        assert exact_expected_kernel(p, budget=EnumBudget(count)) == expected_kernel_size(p)
+    for p in (Params(5, 4, 2, 2), Params(7, 4, 2, 2)):
+        count = qbinom(p.n, p.k1, p.q) * qbinom(p.n, p.k2, p.q)
+        want = expected_intersection_dim(p)
+        assert exact_expected_intersection(p, budget=EnumBudget(count)) == want
+
+
+def test_budget_charges_items_represented():
+    # each oracle passes at a budget of exactly its item count and raises
+    # one item below it, however few orbit representatives it ranks
+    c1, _ = mds63_gf7_codes()
+    f3 = field_make(3)
+    p = Params(3, 4, 2, 2)
+    sys_count = systematic_count(3, 4, 2) ** 2
+    uni_count = qbinom(4, 2, 3) ** 2
+    calls = [
+        (sys_count, lambda b: exact_expected_kernel(p, budget=b)),
+        (sys_count, lambda b: exact_expected_star_dim(p, RandomModel.SYSTEMATIC, budget=b)),
+        (uni_count, lambda b: exact_expected_star_dim(p, RandomModel.UNIFORM_SUBSPACE, budget=b)),
+        (uni_count, lambda b: exact_expected_intersection(p, budget=b)),
+        (qbinom(6, 2, 7), lambda b: exact_expected_star_dim_fixed(c1, 2, budget=b)),
+        (systematic_count(3, 4, 2), lambda b: list(enumerate_systematic(f3, 4, 2, budget=b))),
+        (qbinom(4, 2, 3), lambda b: list(enumerate_subspaces(f3, 4, 2, budget=b))),
+        (3**9, lambda b: count_zero_diag_oracle(3, 4, 3, budget=b)),
+    ]
+    for count, call in calls:
+        budget = EnumBudget(max_items=count)
+        call(budget)
+        assert budget.observed == count
+        with pytest.raises(BudgetExceeded):
+            call(EnumBudget(max_items=count - 1))
+
+
+def test_orbit_indices_beyond_int64_raise_too_large():
+    # q = 7: 9 orbits per two-cell column, 9**20 >= 2**63 on the k = 2 side
+    huge = EnumBudget(2**200)
+    p = Params(7, 22, 1, 2)
+    with pytest.raises(TooLarge):
+        exact_expected_kernel(p, budget=huge)
+    with pytest.raises(TooLarge):
+        exact_expected_star_dim(p, RandomModel.UNIFORM_SUBSPACE, budget=huge)
+    with pytest.raises(TooLarge):
+        exact_expected_intersection(Params(7, 14, 2, 2), budget=huge)
+    code = random_code(field_make(7), 22, 3, np.random.default_rng(1))
+    with pytest.raises(TooLarge):
+        exact_expected_star_dim_fixed(code, 2, budget=huge)
