@@ -25,10 +25,10 @@ from .errors import (
     ZeroDual,
 )
 from .fields import FieldSpec
-from .matrices import Mat, rank, rref, right_kernel_basis, stack
+from .matrices import Mat, _combine, rank, rref, right_kernel_basis, stack
 
 DEFAULT_DISTANCE_BUDGET = 2**24
-_CHUNK = 1 << 16
+_BLOCK_CELLS = 1 << 20
 
 
 class LinearCode:
@@ -104,40 +104,45 @@ def dual(c: LinearCode) -> LinearCode:
     return code_from_matrix(right_kernel_basis(c.basis))
 
 
-def _min_weight_of_span(field: FieldSpec, basis: np.ndarray, budget: int) -> int:
-    """Minimum Hamming weight over the nonzero span of the given rows.
+def _min_weights(field: FieldSpec, bases: np.ndarray, budget: int) -> np.ndarray:
+    """Minimum Hamming weights of the nonzero spans of a (P, k, n) stack
+    of full-rank bases, as a length-P int64 array.
 
-    Enumerates one representative per projective point (scaling keeps
-    weights), grouped by the position of the first nonzero message
-    coordinate.  The budget is counted against the full q**k span.
+    Enumerates one message per projective point (scaling keeps weights):
+    for each lead position, the codewords lead row + digits . trailing
+    rows over every digit vector of the trailing positions, in blocks of
+    about _BLOCK_CELLS entries across messages and bases.  A block is laid
+    out (bases, n, messages), so weights sum over a middle axis, and an
+    entry is nonzero iff its trailing part differs from -lead.  The budget
+    is counted against the full q**k span.
     """
-    k, n = basis.shape
+    count, k, n = bases.shape
     q = field.q
     if q**k > budget:
         raise BudgetExceeded(f"codeword enumeration q**k = {q}**{k} exceeds budget {budget}")
-    best = n
+    cols = bases.transpose(0, 2, 1)
+    best = np.full(count, n, dtype=np.int64)
     for lead in range(k):
         rest = k - lead - 1
         total = q**rest
-        for start in range(0, total, _CHUNK):
-            cnt = min(_CHUNK, total - start)
-            idx = np.arange(start, start + cnt, dtype=np.int64)
-            cw = np.broadcast_to(basis[lead], (cnt, n)).copy()
-            place = total
-            for t in range(rest):
-                place //= q
-                digit = (idx // place) % q
-                cw = field.add(cw, field.mul(digit[:, None], basis[lead + 1 + t][None, :]))
-            w = int(np.count_nonzero(cw, axis=1).min())
-            best = min(best, w)
-            if best == 1:
-                return 1
+        msgs = min(total, max(1, _BLOCK_CELLS // n))
+        per_block = max(1, _BLOCK_CELLS // (msgs * n))
+        powers = q ** np.arange(rest - 1, -1, -1, dtype=np.int64)[:, None]
+        neg_lead = field.neg(cols[:, :, lead, None])
+        for start in range(0, total, msgs):
+            digits = np.arange(start, min(start + msgs, total), dtype=np.int64) // powers % q
+            for s in range(0, count, per_block):
+                part = slice(s, s + per_block)
+                trail = _combine(field, cols[part, :, lead + 1 :], digits)
+                best[part] = np.minimum(best[part], (trail != neg_lead[part]).sum(axis=1).min(axis=1))
+            if (best == 1).all():
+                return best
     return best
 
 
 def min_distance(c: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> int:
     """Minimum Hamming weight of a nonzero codeword, by enumeration."""
-    return _min_weight_of_span(c.field, c.basis.data, budget)
+    return int(_min_weights(c.field, c.basis.data[None], budget)[0])
 
 
 def support(c: LinearCode) -> frozenset:

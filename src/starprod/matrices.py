@@ -99,14 +99,21 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         raise FieldMismatch("cannot multiply matrices over different fields")
     if a.cols != b.rows:
         raise ValueError(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    f = a.field
-    if f.m == 1:
-        # entries < 2**16 and inner dim <= 4096 keep int64 sums exact
-        return Mat(f, (a.data @ b.data) % f.q)
-    out = np.zeros((a.rows, b.cols), dtype=np.int64)
-    for k in range(a.cols):
-        out = f.add(out, f.mul(a.data[:, k : k + 1], b.data[k : k + 1, :]))
-    return Mat(f, out)
+    return Mat(a.field, _combine(a.field, a.data, b.data))
+
+
+def _combine(field: FieldSpec, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The field matrix product of broadcastable (..., m, r) and (..., r, n)
+    stacks: entry (i, j) is the sum over t of coeffs[i, t] * rows[t, j]."""
+    if field.m == 1 or coeffs.shape[-1] == 0:
+        # exact in int64, as entries < 2**16 and r <= 4096; r = 0 gives the zero product
+        out = np.matmul(coeffs, rows)
+        out %= field.q
+        return out
+    out = field.mul(coeffs[..., :, :1], rows[..., :1, :])
+    for t in range(1, coeffs.shape[-1]):
+        out = field.add(out, field.mul(coeffs[..., :, t : t + 1], rows[..., t : t + 1, :]))
+    return out
 
 
 def rref(m: Mat) -> tuple:
@@ -164,10 +171,8 @@ def right_kernel_basis(m: Mat) -> Mat:
     red, pivots = rref(m)
     free = [c for c in range(m.cols) if c not in pivots]
     out = np.zeros((len(free), m.cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        out[i, fc] = 1
-        for j, pc in enumerate(pivots):
-            out[i, pc] = f.neg(int(red.data[j, fc]))
+    out[np.arange(len(free)), free] = 1
+    out[:, list(pivots)] = f.neg(red.data[: len(pivots), free].T)
     return Mat(f, out)
 
 

@@ -217,20 +217,21 @@ def enumerate_systematic(field: FieldSpec, n: int, k: int, budget=None) -> Itera
     """Every systematic generator [I_k | A], one code object per matrix."""
     _check_dims(n, k)
     _budget(budget).charge(systematic_count(field.q, n, k))
-    for g in _subspace_blocks(field, n, k, _SUBSPACE_BLOCK, _pivot_sets(n, k, RandomModel.SYSTEMATIC)):
-        for mat in g:
-            yield code_from_matrix(Mat(field, mat))
+    yield from _rref_codes(field, n, k, RandomModel.SYSTEMATIC)
 
 
 def enumerate_subspaces(field: FieldSpec, n: int, k: int, budget=None) -> Iterator[LinearCode]:
     """Every k-dimensional subspace of F_q^n, exactly once."""
     _check_dims(n, k)
     _budget(budget).charge(qbinom(n, k, field.q))
-    for block in _subspace_blocks(field, n, k, _SUBSPACE_BLOCK, _pivot_sets(n, k, RandomModel.UNIFORM_SUBSPACE)):
+    yield from _rref_codes(field, n, k, RandomModel.UNIFORM_SUBSPACE)
+
+
+def _rref_codes(field: FieldSpec, n: int, k: int, model: RandomModel) -> Iterator[LinearCode]:
+    """The codes of the model's canonical RREF bases, taken as they are."""
+    for block in _subspace_blocks(field, n, k, _SUBSPACE_BLOCK, _pivot_sets(n, k, model)):
         for mat in block:
-            m = Mat(field, mat)
-            pivots = tuple(int(np.argmax(row != 0)) for row in mat)
-            yield LinearCode(field, m, pivots)
+            yield LinearCode(field, Mat(field, mat), tuple(int(np.argmax(row != 0)) for row in mat))
 
 
 def _pair_histogram(p: Params, model: RandomModel, stat, budget, reduce_inner: bool = True) -> tuple:

@@ -172,12 +172,26 @@ class Estimate:
 
     @staticmethod
     def from_json(obj: dict) -> "Estimate":
+        """The inverse of to_json.  A missing key raises KeyError; samples
+        below 1 or not an int, a sum that is not an integer, and a
+        mean_num/mean_den that differ from sum/samples raise BadRange."""
+        samples, total = obj["samples"], obj["sum"]
+        if type(samples) is not int or samples < 1:
+            raise BadRange(f"samples must be an int >= 1, got {samples!r}")
+        try:
+            total = int(str(total))
+        except ValueError:
+            raise BadRange(f"sum must be an integer, got {total!r}") from None
+        mean = Fraction(total, samples)
+        for key, want in (("mean_num", mean.numerator), ("mean_den", mean.denominator)):
+            if key in obj and str(obj[key]) != str(want):
+                raise BadRange(f"{key} = {obj[key]!r} differs from sum/samples = {mean}")
         return Estimate(
             params=Params(q=obj["q"], n=obj["n"], k1=obj["k1"], k2=obj["k2"]),
             model=RandomModel(obj["model"]),
-            samples=obj["samples"],
+            samples=samples,
             seed=obj["seed"],
-            total=int(obj["sum"]),
+            total=total,
             stderr=obj["stderr"],
         )
 

@@ -34,7 +34,7 @@ from starprod import (
     star_dim_lower_bound,
 )
 from starprod.catalog import mds63_gf7_codes
-from starprod.codes import pairwise_product_rows
+from starprod.codes import _min_weights, pairwise_product_rows
 from starprod.oracle import systematic_count
 from starprod.sampling import _pair_generators, resolve_threads
 import starprod.cli as cli
@@ -221,45 +221,6 @@ def _dual_bases_from_systematic(field, gens, k):
     return out
 
 
-_MSG_CACHE = {}
-
-
-def _projective_messages(q, k):
-    """One message per projective point of F_q^k (first nonzero entry 1)."""
-    if (q, k) not in _MSG_CACHE:
-        blocks = []
-        for lead in range(k):
-            rest = k - lead - 1
-            total = q**rest
-            idx = np.arange(total)
-            block = np.zeros((total, k))
-            block[:, lead] = 1
-            place = total
-            for t in range(rest):
-                place //= q
-                block[:, lead + 1 + t] = (idx // place) % q
-            blocks.append(block)
-        _MSG_CACHE[(q, k)] = np.vstack(blocks)
-    return _MSG_CACHE[(q, k)]
-
-
-def _min_weights_batch(q, bases, budget):
-    """Minimum nonzero-codeword weights of a (P, k, n) stack of full-rank
-    generator matrices over a prime field, via float64 matmul (exact:
-    entries stay far below 2**53)."""
-    p_count, k, n = bases.shape
-    if q**k > budget:
-        raise AssertionError("enumeration budget exceeded")
-    msgs = _projective_messages(q, k)
-    out = np.empty(p_count, dtype=np.int64)
-    chunk = max(1, int(2e7 // max(1, msgs.shape[0] * n)))
-    for s in range(0, p_count, chunk):
-        cw = np.matmul(msgs, bases[s : s + chunk].astype(np.float64))
-        np.remainder(cw, q, out=cw)
-        out[s : s + chunk] = (cw != 0).sum(axis=2).min(axis=1)
-    return out
-
-
 def test_criterion_09_per_instance_bounds():
     budget = 2**24
     violations = 0
@@ -289,12 +250,12 @@ def test_criterion_09_per_instance_bounds():
                 g1 = np.concatenate(parts1)[:per_combo]
                 g2 = np.concatenate(parts2)[:per_combo]
                 dims = rank_many(field, pairwise_product_rows(field, g1, g2))
-                dd1 = _min_weights_batch(q, _dual_bases_from_systematic(field, g1, k1), budget)
-                dd2 = _min_weights_batch(q, _dual_bases_from_systematic(field, g2, k2), budget)
+                dd1 = _min_weights(field, _dual_bases_from_systematic(field, g1, k1), budget)
+                dd2 = _min_weights(field, _dual_bases_from_systematic(field, g2, k2), budget)
                 dual_bound = np.minimum(n, np.minimum(k1 + dd2 - 2, k2 + dd1 - 2))
                 violations += int((dims < dual_bound).sum())
-                mds_any = (_min_weights_batch(q, g1, budget) == n - k1 + 1) | (
-                    _min_weights_batch(q, g2, budget) == n - k2 + 1
+                mds_any = (_min_weights(field, g1, budget) == n - k1 + 1) | (
+                    _min_weights(field, g2, budget) == n - k2 + 1
                 )
                 violations += int((mds_any & (dims < min(n, k1 + k2 - 1))).sum())
                 instances += g1.shape[0]

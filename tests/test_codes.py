@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,7 @@ from starprod import (
     star_product,
     support,
 )
+from starprod import codes
 from starprod.catalog import full_space, hamming_7_4, mds63_gf7_codes, repetition_code, single_coordinate_code
 from starprod.errors import (
     BudgetExceeded,
@@ -150,6 +154,78 @@ def test_min_distance_examples():
     assert min_distance(hamming_7_4()) == 3
     with pytest.raises(BudgetExceeded):
         min_distance(hamming_7_4(), budget=8)
+
+
+def _brute_min_weights(field, bases):
+    """Minimum nonzero weight of each basis's span over all q**k messages,
+    one field term at a time."""
+    _, k, n = bases.shape
+    msgs = np.array(list(itertools.product(range(field.q), repeat=k))[1:], dtype=np.int64)
+    out = []
+    for basis in bases:
+        words = np.zeros((len(msgs), n), dtype=np.int64)
+        for t in range(k):
+            words = field.add(words, field.mul(msgs[:, t : t + 1], basis[t][None, :]))
+        out.append(int(np.count_nonzero(words, axis=1).min()))
+    return out
+
+
+def _full_rank_bases(field, n, k, count, rng):
+    out = []
+    while len(out) < count:
+        m = rng.integers(0, field.q, size=(k, n), dtype=np.int64)
+        if rank(Mat(field, m)) == k:
+            out.append(m)
+    return np.array(out)
+
+
+def test_min_weights_equal_brute_force_on_criterion_9_shapes():
+    # every (q, n, k) the per-instance bound check draws, plus k = n
+    rng = np.random.default_rng(11)
+    for q in (2, 3, 5):
+        f = field_make(q)
+        for n in range(2, 9):
+            for k in range(1, n + 1):
+                bases = _full_rank_bases(f, n, k, 3, rng)
+                got = codes._min_weights(f, bases, 2**24)
+                assert got.tolist() == _brute_min_weights(f, bases), (q, n, k)
+
+
+def test_min_weights_equal_brute_force_over_extension_fields():
+    rng = np.random.default_rng(12)
+    shapes = {4: [(1, 5), (3, 6), (5, 7), (6, 6)], 8: [(1, 4), (3, 6), (4, 5), (5, 5)], 9: [(2, 5), (4, 6), (5, 5)]}
+    for q, ks in shapes.items():
+        f = field_make(*_pm(q))
+        for k, n in ks:
+            bases = _full_rank_bases(f, n, k, 3, rng)
+            assert codes._min_weights(f, bases, 2**24).tolist() == _brute_min_weights(f, bases), (q, n, k)
+
+
+def test_min_weights_blocks_match_single_codes(monkeypatch):
+    rng = np.random.default_rng(13)
+    for q in (3, 4):
+        f = field_make(*_pm(q))
+        bases = _full_rank_bases(f, 7, 4, 40, rng)
+        # in every other basis, make e_0 = row 0 + (q - 1) * (rows 1..3), the
+        # last message of the first lead, so a skipped last block shows
+        for b in bases[::2]:
+            b[0] = f.sub(np.eye(7, dtype=np.int64)[0], f.mul(q - 1, f.add(f.add(b[1], b[2]), b[3])))
+        bases = bases[[rank(Mat(f, b)) == 4 for b in bases]]
+        single = [min_distance(code_from_matrix(Mat(f, b))) for b in bases]
+        assert 1 in single[::2]
+        assert codes._min_weights(f, bases, 2**24).tolist() == single
+        # a cap below one code's block splits both the messages and the stack
+        monkeypatch.setattr(codes, "_BLOCK_CELLS", 50)
+        assert codes._min_weights(f, bases, 2**24).tolist() == single
+        monkeypatch.undo()
+
+
+def test_min_distance_budget_edge():
+    for code, d in ((hamming_7_4(), 3), (grs_code(5, 5, 2), 4), (repetition_code(field_make(2, 2), 4), 4)):
+        q, k = code.field.q, code.k
+        assert min_distance(code, budget=q**k) == d
+        with pytest.raises(BudgetExceeded, match=re.escape(f"q**k = {q}**{k} exceeds budget {q**k - 1}")):
+            min_distance(code, budget=q**k - 1)
 
 
 def test_singleton_bound_random():

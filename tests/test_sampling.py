@@ -256,6 +256,36 @@ def test_estimate_json_roundtrip():
     assert again == est
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"samples": 0},
+        {"samples": 1200.0},
+        {"samples": "1200"},
+        {"sum": "12.5"},
+        {"sum": 12.5},
+        {"sum": "twelve"},
+        {"mean_num": "1"},
+        {"mean_den": "7"},
+    ],
+    ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()),
+)
+def test_estimate_from_json_rejects_malformed(change):
+    obj = mc_star_dim(Params(5, 6, 2, 2), samples=1200, seed=11).to_json()
+    with pytest.raises(BadRange):
+        Estimate.from_json({**obj, **change})
+
+
+def test_estimate_from_json_missing_key():
+    obj = mc_star_dim(Params(5, 6, 2, 2), samples=1200, seed=11).to_json()
+    for key in ("samples", "sum", "seed"):
+        with pytest.raises(KeyError):
+            Estimate.from_json({k: v for k, v in obj.items() if k != key})
+    # the mean is redundant, so an object without it still loads
+    bare = {k: v for k, v in obj.items() if k not in ("mean_num", "mean_den")}
+    assert Estimate.from_json(bare) == Estimate.from_json(obj)
+
+
 def test_estimate_requires_samples():
     with pytest.raises(BadRange):
         mc_star_dim(Params(2, 3, 1, 1), samples=0)
