@@ -10,6 +10,7 @@ into jobs nor on how many threads run them.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,13 +27,28 @@ def resolve_threads(threads=None) -> int:
     return max(1, int(threads))
 
 
-def star_dims(field, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+def star_dims(field, g1: np.ndarray, g2: np.ndarray, prefix: int = 0) -> np.ndarray:
     """Star-product dimension of each generator pair, flattened.
 
     g1 (..., k1, n) and g2 (..., k2, n) broadcast over the leading axes.
+
+    prefix > 0 requires that the first prefix columns of every g1 and g2
+    be the unit columns e_0, ..., e_(prefix-1), with prefix <= min(k1, k2),
+    as in systematic generators [I_k1 | A1] and [I_k2 | A2].  Column
+    j < prefix of the pairwise product matrix is then g1[:, j] (x) g2[:, j]
+    = e_j (x) e_j, the unit vector at row (j, j).  Moving those rows to
+    the top and those columns to the left gives [[I, X], [0, R]], whose
+    rank is prefix + rank R, R being the product of the other rows on the
+    other columns.  So only R is formed and ranked.  The prefix is not
+    detected: the caller knows it from the model.
     """
-    prod = pairwise_product_rows(field, g1, g2)
-    return rank_many(field, prod.reshape((-1,) + prod.shape[-2:]))
+    prod = pairwise_product_rows(field, g1[..., prefix:], g2[..., prefix:])
+    if prefix:
+        k2 = g2.shape[-2]
+        kept = np.delete(np.arange(prod.shape[-2]), np.arange(prefix) * (k2 + 1))
+        prod = prod[..., kept, :]
+    batch = math.prod(prod.shape[:-2])  # reshape(-1, ...) fails on a zero-column batch
+    return prefix + rank_many(field, prod.reshape((batch,) + prod.shape[-2:]))
 
 
 def meet_dims(field, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:

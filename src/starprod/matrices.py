@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FieldMismatch, TooLarge
-from .fields import FieldSpec, field_from_order
+from .fields import FieldSpec, _mod, field_from_order
 
 MAX_SIDE = 4096
 
@@ -107,9 +107,7 @@ def _combine(field: FieldSpec, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarr
     stacks: entry (i, j) is the sum over t of coeffs[i, t] * rows[t, j]."""
     if field.m == 1 or coeffs.shape[-1] == 0:
         # exact in int64, as entries < 2**16 and r <= 4096; r = 0 gives the zero product
-        out = np.matmul(coeffs, rows)
-        out %= field.q
-        return out
+        return _mod(np.matmul(coeffs, rows), field.q)
     out = field.mul(coeffs[..., :, :1], rows[..., :1, :])
     for t in range(1, coeffs.shape[-1]):
         out = field.add(out, field.mul(coeffs[..., :, t : t + 1], rows[..., t : t + 1, :]))

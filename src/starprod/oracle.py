@@ -35,6 +35,7 @@ BudgetExceeded at the same sizes whatever the enumeration ranks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -240,9 +241,12 @@ def _pair_histogram(p: Params, model: RandomModel, stat, budget, reduce_inner: b
     statistics, since an intersection has dim <= k1.
 
     The outer side runs over column-scaling orbits, and so does the inner
-    side when reduce_inner is set (see the module docstring)."""
+    side when reduce_inner is set (see the module docstring).  Systematic
+    pairs [I_k1 | A1], [I_k2 | A2] share min(k1, k2) unit columns, so stat
+    (star_dims, the only systematic one) peels them."""
     field = field_from_order(p.q)
     if model is RandomModel.SYSTEMATIC:
+        stat = functools.partial(stat, prefix=min(p.k1, p.k2))
         count = systematic_count(p.q, p.n, p.k1) * systematic_count(p.q, p.n, p.k2)
     else:
         count = qbinom(p.n, p.k1, p.q) * qbinom(p.n, p.k2, p.q)

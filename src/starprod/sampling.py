@@ -20,6 +20,7 @@ bias below 2**-64 per column; no statistic here can see either.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,7 @@ from ._tally import dim_histogram, meet_dims, resolve_threads, star_dims
 from .codes import LinearCode, code_from_matrix
 from .errors import BadRange
 from .exact import Params, RandomModel, qbinom, star_dim_lower_bound
-from .fields import FieldSpec, field_from_order
+from .fields import FieldSpec, _mod, field_from_order
 from .matrices import Mat, _rref_cells
 
 _KEY_CONST = 0x5374617250726F64  # stream key tag
@@ -60,13 +61,20 @@ def _round4(w: int) -> int:
 
 
 def _systematic_from_words(field, words, n, k, offset):
-    """Systematic generators [I_k | A], A from k*(n-k) words mod q."""
+    """Systematic generators [I_k | A], A from k*(n-k) words mod q.
+
+    Over a prime field the dtype is np.min_scalar_type((q-1)**2), the
+    narrowest one in which a product of two entries cannot wrap (uint8 up
+    to q = 16), so FieldSpec.mul and rank_many work on narrow copies.
+    Extension fields use int64, as their FieldSpec tables do.
+    """
     b = words.shape[0]
-    g = np.zeros((b, k, n), dtype=np.int64)
+    dtype = np.min_scalar_type((field.q - 1) ** 2) if field.m == 1 else np.int64
+    g = np.zeros((b, k, n), dtype=dtype)
     g[:, np.arange(k), np.arange(k)] = 1
     a = k * (n - k)
     if a:
-        g[:, :, k:] = (words[:, offset : offset + a] % field.q).astype(np.int64).reshape(b, k, n - k)
+        g[:, :, k:] = _mod(words[:, offset : offset + a], field.q).reshape(b, k, n - k)
     return g, offset + a
 
 
@@ -211,10 +219,15 @@ def _stderr_from_sums(total: int, total_sq: int, n: int) -> float:
 def _sample_histogram(p: Params, model, samples, seed, threads, stat) -> list:
     """Exact histogram of stat (star_dims or meet_dims) over the sample
     range, one job per _CHUNK samples.  Its length min(k1*k2, n) + 1
-    bounds both statistics, since an intersection has dim <= k1."""
+    bounds both statistics, since an intersection has dim <= k1.
+
+    Systematic pairs [I_k1 | A1], [I_k2 | A2] share min(k1, k2) unit
+    columns, so stat (star_dims, the only systematic one) peels them."""
     if samples < 1:
         raise BadRange(f"need samples >= 1, got {samples}")
     field = field_from_order(p.q)
+    if model is RandomModel.SYSTEMATIC:
+        stat = functools.partial(stat, prefix=min(p.k1, p.k2))
     chunks = [(s, min(_CHUNK, samples - s)) for s in range(0, samples, _CHUNK)]
     return dim_histogram(
         field,

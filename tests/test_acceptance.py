@@ -234,13 +234,16 @@ def test_criterion_09_per_instance_bounds():
             for idx, (k1, k2) in enumerate(combos):
                 p = Params(q, n, k1, k2)
                 seed = 9000 + 97 * q + 13 * n + idx
-                # draw until per_combo non-degenerate pairs have been accepted
+                # draw until per_combo non-degenerate pairs have been accepted,
+                # in rounds that double, since rare shapes accept few pairs; the
+                # stream does not depend on the rounds, so the pairs kept are
+                # the first per_combo non-degenerate ones by index
                 parts1, parts2 = [], []
-                accepted, start = 0, 0
+                accepted, start, m = 0, 0, 2 * per_combo + 64
                 while accepted < per_combo:
-                    m = 2 * (per_combo - accepted) + 64
                     c1, c2 = _pair_generators(field, p, RandomModel.SYSTEMATIC, seed, start, m)
                     start += m
+                    m *= 2
                     keep = ((c1[:, :, k1:] != 0).any(axis=1).all(axis=1)) & (
                         (c2[:, :, k2:] != 0).any(axis=1).all(axis=1)
                     )

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from starprod import FieldElem, field_arith, field_from_order, field_make
+from starprod._moduli import MODULI
 from starprod.errors import BadRange, DivisionByZero, NoModulusTableEntry, NotPrime, TooLarge
 from starprod.fields import FieldSpec
 
 # prime powers up to 64, all of which ship with tables
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
 EXHAUSTIVE_Q = [2, 3, 4, 5, 7, 8, 9]
+# every shipped modulus, and primes around the uint8/int8 limits and below 2**16
+DTYPE_Q = sorted(p**m for p, m in MODULI) + [2, 3, 5, 7, 31, 127, 131, 251, 257, 65521]
+INT_DTYPES = [np.uint8, np.uint16, np.int8, np.int32, np.int64]
 
 
 def test_prime_field_basics():
@@ -145,3 +152,46 @@ def test_field_arith_dispatch():
 def test_specs_with_equal_order_interchangeable():
     assert field_make(3, 2) == field_from_order(9)
     assert hash(field_make(3, 2)) == hash(field_from_order(9))
+
+
+@pytest.mark.parametrize("p,m", sorted(MODULI))
+def test_shipped_modulus_is_primitive(p, m):
+    # a monic degree-m modulus whose root x has multiplicative order q - 1
+    f = field_make(p, m)
+    assert len(f.modulus) == m + 1 and f.modulus[-1] == 1
+    assert sorted(f._exp.tolist()) == list(range(1, f.q))
+    assert (f._log[f._exp] == np.arange(f.q - 1)).all()
+
+
+@pytest.mark.parametrize("q", DTYPE_Q)
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(data=st.data())
+def test_field_axioms_any_integer_dtype(q, data):
+    # elements stored in any integer dtype that holds them give the int64 results
+    f = field_from_order(q)
+    drawn = data.draw(arrays(np.int64, (3, 12), elements=st.integers(0, q - 1)))
+    for dtype in INT_DTYPES:
+        a, b, c = (drawn % min(q, int(np.iinfo(dtype).max) + 1)).astype(dtype)
+        a0, b0 = a.copy(), b.copy()
+        wa, wb = a.astype(np.int64), b.astype(np.int64)
+        for op in (f.add, f.sub, f.mul):
+            got = op(a, b)
+            assert (got == op(wa, wb)).all() and got.min() >= 0 and got.max() < q
+        assert (f.neg(a) == f.neg(wa)).all()
+        assert (a == a0).all() and (b == b0).all()
+        assert (f.add(a, f.neg(a)) == 0).all()
+        assert (f.sub(a, b) == f.add(a, f.neg(b))).all()
+        assert (f.add(a, b) == f.add(b, a)).all() and (f.mul(a, b) == f.mul(b, a)).all()
+        assert (f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))).all()
+        assert (f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))).all()
+        nz = a[a != 0]
+        assert (f.mul(nz, f.inv(nz)) == 1).all()
+
+
+def test_narrow_unsigned_inputs_reduce_correctly():
+    u8 = np.uint8
+    assert int(field_make(3).neg(u8(1))) == 2
+    assert int(field_make(3).sub(u8(1), u8(2))) == 2
+    assert int(field_make(31).mul(u8(30), u8(30))) == 1
+    assert int(field_make(251).add(u8(200), u8(100))) == 49
+    assert int(field_from_order(9).neg(np.array([1], dtype=u8))[0]) == 2

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starprod import field_make, intersection_dim, star_product
+from starprod import Params, RandomModel, field_from_order, field_make, intersection_dim, star_product
 from starprod._tally import dim_histogram, meet_dims, star_dims
 from starprod.errors import ZeroCode
+from starprod.sampling import _pair_generators
 
 from conftest import random_code
 
@@ -52,3 +55,38 @@ def test_dim_histogram_independent_of_jobs_and_threads():
         split = dim_histogram(field, star_dims, 5, range(6), one_pair, threads)
         assert split == whole
     assert sum(whole) == 6 and all(type(c) is int for c in whole)
+
+
+PEEL_QS = [2, 3, 4, 5, 7, 8, 9]
+
+
+def _assert_peel_exact(field, g1, g2):
+    """Peeling the common unit columns of systematic g1, g2 keeps every
+    star dimension, flat and in the oracle's broadcast shape, whatever
+    the generators' integer dtype."""
+    prefix = min(g1.shape[-2], g2.shape[-2])
+    for a, b in ((g1, g2), (g1[:, None], g2[None]), (g1.astype(np.int64), g2.astype(np.int64))):
+        assert (star_dims(field, a, b, prefix) == star_dims(field, a, b)).all()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(q=st.sampled_from(PEEL_QS), n=st.integers(1, 7), data=st.data())
+def test_peeled_star_dims_equal_unpeeled(q, n, data):
+    k1 = data.draw(st.integers(1, n))
+    k2 = data.draw(st.integers(1, n))
+    field = field_from_order(q)
+    seed = data.draw(st.integers(0, 2**32))
+    g1, g2 = _pair_generators(field, Params(q, n, k1, k2), RandomModel.SYSTEMATIC, seed, 0, 24)
+    if k1 > k2:  # Params orders the dimensions; star_dims takes them as given
+        g1, g2 = g2, g1
+    _assert_peel_exact(field, g1, g2)
+
+
+@pytest.mark.parametrize("q", PEEL_QS)
+@pytest.mark.parametrize("n", [1, 3])
+def test_peeled_star_dims_full_space(q, n):
+    # k1 = k2 = n peels every column and leaves a batch of 0-column matrices
+    field = field_from_order(q)
+    g1, g2 = _pair_generators(field, Params(q, n, n, n), RandomModel.SYSTEMATIC, 3, 0, 5)
+    assert (star_dims(field, g1, g2, n) == n).all()
+    _assert_peel_exact(field, g1, g2)
