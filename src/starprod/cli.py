@@ -5,7 +5,8 @@ limit-q, apps {pir,sdmm,csst}, example-mds.  Exit codes: 0 success,
 1 failed oracle check, 2 usage or validation error, 3 enumeration budget
 exceeded, 4 I/O error.  Exact rationals print as num/den plus a decimal
 rendering to 10 significant digits; estimates and app reports print as
-JSON.  STARPROD_THREADS overrides --threads when the flag is absent.
+JSON.  STARPROD_THREADS overrides --threads when the flag is absent;
+example-mds accepts --threads and ignores it.
 """
 
 from __future__ import annotations
@@ -14,15 +15,16 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 
 from . import apps, catalog, exact, oracle, sampling
-from ._tally import resolve_threads
-from .codes import code_from_matrix
+from .codes import code_from_matrix, is_mds, support
 from .errors import BudgetExceeded, StarprodError
 from .exact import RandomModel
+from .fields import field_make
 from .matrices import load_matrix, save_matrix
 
 
@@ -175,19 +177,15 @@ def _oracle_intersection(args):
 
 
 def _oracle_support(args):
-    from .fields import field_make
-    from .codes import support as code_support
     for q in (2, 3):
         if q > args.qmax:
             continue
         field = field_make(q)
         for n in range(1, args.nmax + 1):
             for ell in range(1, n + 1):
-                counts = {}
-                for c in oracle.enumerate_subspaces(field, n, ell):
-                    counts[len(code_support(c))] = counts.get(len(code_support(c)), 0) + 1
+                counts = Counter(len(support(c)) for c in oracle.enumerate_subspaces(field, n, ell))
                 ok = all(
-                    counts.get(s, 0)
+                    counts[s]
                     == exact.binom(n, s) * exact.count_subspaces_with_support(q, n, ell, s)
                     for s in range(n + 1)
                 )
@@ -195,8 +193,6 @@ def _oracle_support(args):
 
 
 def _oracle_mds(args):
-    from .fields import field_make
-    from .codes import is_mds
     grid = [(2, 3, 2), (3, 4, 2)]
     for q, n, k1 in grid:
         if q > args.qmax or n > args.nmax:
@@ -321,9 +317,8 @@ def cmd_example_mds(args) -> int:
             path = os.path.join(args.dump, f"{name}.mat")
             save_matrix(c.basis, path)
             print(f"wrote {path}")
-    threads = resolve_threads(args.threads)
     for name, c in codes:
-        val = oracle.exact_expected_star_dim_fixed(c, args.l, threads=threads)
+        val = oracle.exact_expected_star_dim_fixed(c, args.l)
         print(f"E[dim {name}*D] (dim D = {args.l}) = {_frac(val)} (= {_dec(val)})")
     return 0
 
@@ -430,7 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=2, help="dimension of the random partner code")
     p.add_argument("--code", default=None, help="matrix file overriding the built-in pair")
     p.add_argument("--dump", default=None, help="directory to write the generator matrices to")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument(
+        "--threads", type=int, default=None, help="accepted and unused: the exact enumeration runs on one thread"
+    )
     p.set_defaults(func=cmd_example_mds)
 
     return parser

@@ -106,26 +106,21 @@ class FieldSpec:
 
     def _build_log_tables(self) -> None:
         p, m, q = self.p, self.m, self.q
-        red = self.modulus[:m]  # x**m = -red in the quotient ring
-        exp = np.zeros(q - 1, dtype=np.int64)
+        # x times every element: shift its base-p digits up one place and
+        # reduce the overflow digit with x**m = -red, red = modulus[:m]
+        powers = p ** np.arange(m, dtype=np.int64)
+        digits = np.arange(q, dtype=np.int64)[:, None] // powers % p
+        shifted = np.pad(digits[:, :-1], ((0, 0), (1, 0)))
+        times_x = ((shifted - digits[:, -1:] * np.array(self.modulus[:m])) % p @ powers).tolist()
+        powers_of_x = [1]
+        for i in range(1, q - 1):
+            val = times_x[powers_of_x[-1]]
+            if val == 1:
+                raise NoModulusTableEntry(f"modulus for GF({p}^{m}) is not primitive (x has order {i})")
+            powers_of_x.append(val)
+        exp = np.array(powers_of_x, dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
-        coeffs = [1] + [0] * (m - 1)
-        for i in range(q - 1):
-            val = 0
-            for j in range(m - 1, -1, -1):
-                val = val * p + coeffs[j]
-            if val == 1 and i > 0:
-                raise NoModulusTableEntry(
-                    f"modulus for GF({p}^{m}) is not primitive (x has order {i})"
-                )
-            exp[i] = val
-            log[val] = i
-            # multiply by x: shift digits, then reduce the overflow digit
-            top = coeffs[m - 1]
-            coeffs = [0] + coeffs[: m - 1]
-            if top:
-                for j in range(m):
-                    coeffs[j] = (coeffs[j] - top * red[j]) % p
+        log[exp] = np.arange(q - 1)
         self._exp = exp
         self._log = log
         exp.flags.writeable = False

@@ -28,6 +28,9 @@ only its outer side, because the intersection is invariant under joint
 scaling only (see exact_expected_intersection).  At q = 2 every orbit is
 a single basis and nothing is saved.
 
+Every pair oracle runs through _orbit_histogram on the calling thread;
+the fixed-code oracle's outer side is the one basis of C.
+
 An EnumBudget is charged the number of pairs (or subspaces) represented,
 not the number of orbit representatives ranked, so an oracle call raises
 BudgetExceeded at the same sizes whatever the enumeration ranks.
@@ -54,6 +57,7 @@ from .matrices import Mat, _rref_cells, mat_mul, rank_many
 DEFAULT_BUDGET = 2**26
 _PAIR_BLOCK = 1 << 14
 _SUBSPACE_BLOCK = 1 << 15
+_OUTER_BLOCK = 64  # outer rows per batch of the pair oracles
 
 
 @dataclass
@@ -84,14 +88,18 @@ def _index_count(radices) -> int:
     return total
 
 
-def _mixed_radix(idx: np.ndarray, radices) -> np.ndarray:
-    """Mixed-radix digits of each index, most significant digit first."""
-    out = np.empty((idx.size, len(radices)), dtype=np.int64)
-    place = _index_count(radices)
-    for t, r in enumerate(radices):
-        place //= r
-        out[:, t] = (idx // place) % r
-    return out
+def _digit_blocks(radices, block: int) -> Iterator[np.ndarray]:
+    """Mixed-radix digits, most significant first, of every index below
+    the product of the radices, in blocks of at most block rows."""
+    total = _index_count(radices)
+    for start in range(0, total, block):
+        idx = np.arange(start, min(start + block, total), dtype=np.int64)
+        digits = np.empty((idx.size, len(radices)), dtype=np.int64)
+        place = total
+        for t, r in enumerate(radices):
+            place //= r
+            digits[:, t] = (idx // place) % r
+        yield digits
 
 
 def _pivot_sets(n: int, k: int, model: RandomModel) -> list:
@@ -101,25 +109,22 @@ def _pivot_sets(n: int, k: int, model: RandomModel) -> list:
     return list(itertools.combinations(range(n), k))
 
 
+def _fillings(free: np.ndarray, base: np.ndarray, q: int, block: int) -> Iterator[np.ndarray]:
+    """Every filling of the free cells of base with entries in [0, q), as
+    (B,) + base.shape blocks of at most block matrices, in lexicographic
+    order of the free entries (row-major cell order)."""
+    rows, cols = np.nonzero(free)
+    for digits in _digit_blocks([q] * rows.size, block):
+        mats = np.broadcast_to(base, (len(digits),) + base.shape).copy()
+        mats[:, rows, cols] = digits
+        yield mats
+
+
 def _subspace_blocks(field: FieldSpec, n: int, k: int, block: int, pivot_sets) -> Iterator[np.ndarray]:
     """Canonical RREF bases of the k-dim subspaces with the given pivot
-    column sets, as (B, k, n) tensors.
-
-    Iterates pivot_sets in order, then free entries in lexicographic order
-    (row-major cell order).
-    """
-    q = field.q
+    column sets, as (B, k, n) tensors, pivot set by pivot set."""
     for pivots in pivot_sets:
-        free, base = _rref_cells(np.isin(np.arange(n), pivots), k)
-        rows, cols = np.nonzero(free)
-        radices = [q] * rows.size
-        total = _index_count(radices)
-        for start in range(0, total, block):
-            idx = np.arange(start, min(start + block, total), dtype=np.int64)
-            mats = np.broadcast_to(base, (idx.size, k, n)).copy()
-            if rows.size:
-                mats[:, rows, cols] = _mixed_radix(idx, radices)
-            yield mats
+        yield from _fillings(*_rref_cells(np.isin(np.arange(n), pivots), k), field.q, block)
 
 
 def _orbit_count(q: int, h: int) -> int:
@@ -142,7 +147,6 @@ def _orbit_blocks(field: FieldSpec, n: int, k: int, block: int, pivot_sets) -> I
         cols = np.nonzero(heights)[0]
         h = heights[cols, None]
         radices = [_orbit_count(q, int(hc)) for hc in h[:, 0]]
-        total = _index_count(radices)
         # A column is decoded as the integer whose base-q digits it holds.
         # Orbit 0 is the zero column.  The representatives with m entries
         # after their leading 1 are the integers q^m + [0, q^m), orbits
@@ -154,12 +158,10 @@ def _orbit_blocks(field: FieldSpec, n: int, k: int, block: int, pivot_sets) -> I
         rows, cell_cols = np.nonzero(free)
         cell_t = np.searchsorted(cols, cell_cols)
         place = q ** (heights[cell_cols] - 1 - rows)
-        for start in range(0, total, block):
-            idx = np.arange(start, min(start + block, total), dtype=np.int64)
-            orbits = _mixed_radix(idx, radices)
+        for orbits in _digit_blocks(radices, block):
             m = (orbits[:, :, None] >= starts).sum(axis=2) - 1
             value = powers[m] + orbits - starts[np.arange(cols.size), m]
-            mats = np.broadcast_to(base, (idx.size, k, n)).copy()
+            mats = np.broadcast_to(base, (len(orbits), k, n)).copy()
             mats[:, rows, cell_cols] = value[:, cell_t] // place % q
             yield mats, np.count_nonzero(orbits, axis=1)
 
@@ -183,18 +185,34 @@ def _packed(pieces, rows: int) -> Iterator[tuple]:
         yield concat(buf)
 
 
-def _orbit_histogram(field: FieldSpec, stat, size: int, z_max: int, jobs, pairs, threads: int = 1) -> list:
-    """Exact histogram of stat over the pairs represented by the
-    ((g1, z1), (g2, z2)) batches that pairs(job) yields, z1 + z2 having the
-    broadcast shape of the generators' leading axes: a pair stands for
-    (q-1)**(z1 + z2) pairs, which are counted by the key z*size + dim and
-    weighted at the end."""
+def _orbit_histogram(field: FieldSpec, stat, size: int, z_max: int, outer, inner_blocks) -> list:
+    """Exact histogram of stat over the pairs of a row of an outer (g1, z1)
+    batch and a row of an inner (g2, z2) block from inner_blocks().  A pair
+    stands for (q-1)**(z1 + z2) pairs, counted by the key z*size + dim and
+    weighted at the end; stat sees about _PAIR_BLOCK pairs a call."""
+    first = inner_blocks()
+    head = list(itertools.islice(first, 2))
+    # an inner side that fits one block is built once; otherwise the first
+    # outer batch finishes the blocks already built and later batches rebuild
+    started = [itertools.chain(head, first)]
+
+    def blocks():
+        if len(head) == 1:
+            return head
+        return started.pop() if started else inner_blocks()
+
+    def pairs(batch):
+        g1, z1 = batch
+        width = max(1, _PAIR_BLOCK // len(g1))
+        for g2, z2 in blocks():
+            for s in range(0, len(g2), width):
+                yield (g1[:, None], z1[:, None]), (g2[None, s : s + width], z2[None, s : s + width])
 
     def keys(field, a, b):
         (g1, z1), (g2, z2) = a, b
         return stat(field, g1, g2) + size * (z1 + z2).ravel()
 
-    keyed = dim_histogram(field, keys, size * (z_max + 1), jobs, pairs, threads)
+    keyed = dim_histogram(field, keys, size * (z_max + 1), outer, pairs)
     hist = [0] * size
     for key, c in enumerate(keyed):
         hist[key % size] += c * (field.q - 1) ** (key // size)
@@ -261,21 +279,11 @@ def _pair_histogram(p: Params, model: RandomModel, stat, budget, reduce_inner: b
             pieces = ((g, np.zeros(len(g), dtype=np.int64)) for g in blocks)
         return _packed(pieces, _SUBSPACE_BLOCK)
 
-    # an inner side that fits one block is built once, not once per outer batch
-    head = list(itertools.islice(inner_blocks(), 2))
-    reusable = len(head) == 1
-
-    def pairs(outer):
-        g1, z1 = outer
-        inner = _PAIR_BLOCK // g1.shape[0]
-        for g2, z2 in head if reusable else inner_blocks():
-            for s2 in range(0, g2.shape[0], inner):
-                yield (g1[:, None], z1[:, None]), (g2[None, s2 : s2 + inner], z2[None, s2 : s2 + inner])
-
     size = min(p.k1 * p.k2, p.n) + 1
     z_max = p.n - p.k1 + (p.n - p.k2 if reduce_inner else 0)
-    outer = _packed(_orbit_blocks(field, p.n, p.k1, 64, _pivot_sets(p.n, p.k1, model)), 64)
-    return _orbit_histogram(field, stat, size, z_max, outer, pairs), count
+    outer_pivots = _pivot_sets(p.n, p.k1, model)
+    outer = _packed(_orbit_blocks(field, p.n, p.k1, _OUTER_BLOCK, outer_pivots), _OUTER_BLOCK)
+    return _orbit_histogram(field, stat, size, z_max, outer, inner_blocks), count
 
 
 def exact_expected_kernel(p: Params, budget=None) -> Fraction:
@@ -292,23 +300,22 @@ def exact_expected_star_dim(p: Params, model: RandomModel, budget=None) -> Fract
     return _mean(*_pair_histogram(p, model, star_dims, budget))
 
 
-def _fixed_histogram(c: LinearCode, ell: int, budget, threads: int) -> tuple:
+def _fixed_histogram(c: LinearCode, ell: int, budget) -> tuple:
     """Exact histogram of dim(C star D) over all ell-dim subspaces D, D
-    running over column-scaling orbits, with the subspace count.  One job
-    per pivot column set, so threads > 1 runs on several threads."""
+    running over column-scaling orbits, with the subspace count.  C is the
+    one outer batch of _orbit_histogram."""
     field = c.field
     _check_dims(c.n, ell)
     count = qbinom(c.n, ell, field.q)
     _budget(budget).charge(count)
-    basis = c.basis.data[None], 0
+    pivots = _pivot_sets(c.n, ell, RandomModel.UNIFORM_SUBSPACE)
 
-    def pairs(pivots):
-        for block in _orbit_blocks(field, c.n, ell, _SUBSPACE_BLOCK, [pivots]):
-            yield basis, block
+    def inner_blocks():
+        return _packed(_orbit_blocks(field, c.n, ell, _SUBSPACE_BLOCK, pivots), _SUBSPACE_BLOCK)
 
     size = min(c.k * ell, c.n) + 1
-    pivot_sets = _pivot_sets(c.n, ell, RandomModel.UNIFORM_SUBSPACE)
-    return _orbit_histogram(field, star_dims, size, c.n - ell, pivot_sets, pairs, threads or 1), count
+    outer = [(c.basis.data[None], np.zeros(1, dtype=np.int64))]
+    return _orbit_histogram(field, star_dims, size, c.n - ell, outer, inner_blocks), count
 
 
 def exact_expected_star_dim_fixed(
@@ -316,9 +323,10 @@ def exact_expected_star_dim_fixed(
 ) -> Fraction:
     """Exact average of dim(C star D) over all ell-dim subspaces D.
 
-    threads > 1 runs the enumeration on several threads.
+    threads is accepted for callers that pass it; the enumeration is not
+    split and runs on the calling thread whatever its value.
     """
-    return _mean(*_fixed_histogram(c, ell, budget, threads))
+    return _mean(*_fixed_histogram(c, ell, budget))
 
 
 def exact_expected_intersection(p: Params, budget=None) -> Fraction:
@@ -350,34 +358,22 @@ def count_zero_diag_oracle(k1: int, k2: int, q: int, budget=None) -> ZeroDiagCou
     """Enumerate every k1 x k2 matrix with zero diagonal and bucket by
     rank and by the exact set of zero columns among the last k2 - k1."""
     field = field_from_order(q)
-    rows, cols = np.nonzero(~np.eye(k1, k2, dtype=bool))
-    radices = [q] * rows.size
-    total = _index_count(radices)
-    _budget(budget).charge(total)
+    free = ~np.eye(k1, k2, dtype=bool)
+    _budget(budget).charge(_index_count([q] * int(free.sum())))
     w = k2 - k1
-    counts = np.zeros((k1 + 1) * (1 << w), dtype=np.int64)
-    for start in range(0, total, _SUBSPACE_BLOCK):
-        idx = np.arange(start, min(start + _SUBSPACE_BLOCK, total), dtype=np.int64)
-        mats = np.zeros((idx.size, k1, k2), dtype=np.int64)
-        mats[:, rows, cols] = _mixed_radix(idx, radices)
-        ranks = rank_many(field, mats)
-        if w:
-            zero_cols = (mats[:, :, k1:] == 0).all(axis=1)
-            masks = zero_cols @ (1 << np.arange(w, dtype=np.int64))
-        else:
-            masks = np.zeros(idx.size, dtype=np.int64)
-        counts += np.bincount(ranks * (1 << w) + masks, minlength=counts.size)
+
+    def key(field, mats, _):
+        zero_cols = (mats[:, :, k1:] == 0).all(axis=1)
+        return rank_many(field, mats) * (1 << w) + zero_cols @ (1 << np.arange(w, dtype=np.int64))
+
+    blocks = _fillings(free, np.zeros((k1, k2), dtype=np.int64), q, _SUBSPACE_BLOCK)
+    counts = dim_histogram(field, key, (k1 + 1) << w, blocks, lambda mats: [(mats, None)])
     out = ZeroDiagCounts()
-    for r in range(k1 + 1):
-        rank_total = 0
-        for mask in range(1 << w):
-            c = int(counts[r * (1 << w) + mask])
-            rank_total += c
-            if c:
-                cols = frozenset(k1 + t for t in range(w) if mask >> t & 1)
-                out.by_rank_and_zero_set[(r, cols)] = c
-        if rank_total:
-            out.by_rank[r] = rank_total
+    for index, c in enumerate(counts):
+        if c:
+            r, mask = divmod(index, 1 << w)
+            out.by_rank[r] = out.by_rank.get(r, 0) + c
+            out.by_rank_and_zero_set[(r, frozenset(k1 + t for t in range(w) if mask >> t & 1))] = c
     return out
 
 
@@ -391,14 +387,16 @@ def monomial_invariance_check(
     c: LinearCode, m: Mat, ell: int, budget=None, threads: int = 1
 ) -> MonomialCheck:
     """Compare the exact fixed-code star expectation of C and of C * M
-    for a monomial matrix M; monomially equivalent codes must agree."""
+    for a monomial matrix M; monomially equivalent codes must agree.
+    threads is accepted as in exact_expected_star_dim_fixed and splits
+    nothing."""
     if m.rows != m.cols or m.rows != c.n or m.field != c.field:
         raise NotMonomial(f"need an {c.n} x {c.n} matrix over {c.field!r}")
     nz = m.data != 0
     if not ((nz.sum(axis=0) == 1).all() and (nz.sum(axis=1) == 1).all()):
         raise NotMonomial("matrix must have exactly one nonzero entry per row and column")
     image = code_from_matrix(mat_mul(c.basis, m))
-    e1 = exact_expected_star_dim_fixed(c, ell, budget, threads)
-    e2 = exact_expected_star_dim_fixed(image, ell, budget, threads)
+    e1 = exact_expected_star_dim_fixed(c, ell, budget)
+    e2 = exact_expected_star_dim_fixed(image, ell, budget)
     return MonomialCheck(e1 == e2, e1, e2)
 

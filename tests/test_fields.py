@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,46 @@ def test_shipped_modulus_is_primitive(p, m):
     assert len(f.modulus) == m + 1 and f.modulus[-1] == 1
     assert sorted(f._exp.tolist()) == list(range(1, f.q))
     assert (f._log[f._exp] == np.arange(f.q - 1)).all()
+
+
+def _times_x(field, v):
+    """x * v in GF(p^m) by schoolbook polynomial arithmetic on base-p digits."""
+    p, m = field.p, field.m
+    digits = [v // p**j % p for j in range(m)]
+    top, shifted = digits[-1], [0] + digits[:-1]
+    return sum((d - top * r) % p * p**j for j, (d, r) in enumerate(zip(shifted, field.modulus[:m])))
+
+
+@pytest.mark.parametrize("p,m", sorted(MODULI))
+def test_exp_table_steps_by_x(p, m):
+    # exp[i] = x**i: exp[0] = 1 and exp[i + 1] = x * exp[i] at sampled i,
+    # the last step wrapping round to 1
+    f = field_make(p, m)
+    exp = f._exp.tolist()
+    idx = np.random.default_rng(p * 100 + m).integers(0, f.q - 1, size=64).tolist() + [0, f.q - 2]
+    assert exp[0] == 1
+    for i in idx:
+        assert _times_x(f, exp[i]) == exp[(i + 1) % (f.q - 1)], i
+
+
+def test_log_tables_unchanged():
+    # sha256 of every shipped field's exp and log tables, little-endian
+    # int64, as the element-by-element builder made them
+    h = hashlib.sha256()
+    for p, m in sorted(MODULI):
+        f = field_make(p, m)
+        h.update(f._exp.astype("<i8").tobytes())
+        h.update(f._log.astype("<i8").tobytes())
+    assert h.hexdigest() == "cbc7711d5d3476832eb7ecf1fae1790ec88765f6d9429e9508ed1afaf0a6f52e"
+
+
+def test_non_primitive_modulus_raises(monkeypatch):
+    # x^4 + x^3 + x^2 + x + 1 is irreducible over GF(2), but x has order 5
+    import starprod.fields as fields_mod
+
+    monkeypatch.setattr(fields_mod, "MODULI", {(2, 4): (1, 1, 1, 1, 1)})
+    with pytest.raises(NoModulusTableEntry, match="x has order 5"):
+        FieldSpec(2, 4)
 
 
 @pytest.mark.parametrize("q", DTYPE_Q)

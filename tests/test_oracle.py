@@ -311,7 +311,7 @@ def test_orbit_fixed_histograms_equal_full_enumeration():
                     count = qbinom(n, ell, q)
                     if count > FULL_PAIRS_LIMIT:
                         continue
-                    hist, got = oracle._fixed_histogram(code, ell, None, 1)
+                    hist, got = oracle._fixed_histogram(code, ell, None)
                     g2 = _full_blocks(field, n, ell, RandomModel.UNIFORM_SUBSPACE)
                     assert got == count == len(g2)
                     assert hist == _full_histogram(field, star_dims, len(hist), code.basis.data[None], g2)
@@ -392,3 +392,41 @@ def test_orbit_indices_beyond_int64_raise_too_large():
     code = random_code(field_make(7), 22, 3, np.random.default_rng(1))
     with pytest.raises(TooLarge):
         exact_expected_star_dim_fixed(code, 2, budget=huge)
+
+
+@pytest.mark.parametrize("subspace_block, pair_block, outer_block", [(7, 5, 3), (7, 2, 3)])
+def test_oracle_histograms_independent_of_block_sizes(monkeypatch, subspace_block, pair_block, outer_block):
+    # (7, 2, 3): an outer batch of 3 outgrows a pair block of 2, so the
+    # inner slices are one row wide
+    rng = np.random.default_rng(3)
+    code = random_code(field_from_order(5), 5, 2, rng)
+    points = [
+        lambda: oracle._fixed_histogram(code, 2, None),
+        lambda: oracle._pair_histogram(Params(3, 4, 2, 2), RandomModel.SYSTEMATIC, star_dims, None),
+        lambda: oracle._pair_histogram(Params(4, 4, 2, 2), RandomModel.UNIFORM_SUBSPACE, star_dims, None),
+        lambda: oracle._pair_histogram(Params(3, 4, 2, 2), RandomModel.UNIFORM_SUBSPACE, meet_dims, None, False),
+    ]
+    built = []
+    orbit_blocks = oracle._orbit_blocks
+
+    def counted(*args):
+        for piece in orbit_blocks(*args):
+            built.append(len(piece[1]))
+            yield piece
+
+    def fixed_rows_built():
+        built.clear()
+        points[0]()
+        return sum(built)
+
+    monkeypatch.setattr(oracle, "_orbit_blocks", counted)
+    pivots = oracle._pivot_sets(5, 2, RandomModel.UNIFORM_SUBSPACE)
+    reps = sum(len(z) for _, z in orbit_blocks(code.field, 5, 2, 1 << 15, pivots))
+    default = [call() for call in points]
+    assert fixed_rows_built() == reps  # one inner block, built once
+    monkeypatch.setattr(oracle, "_SUBSPACE_BLOCK", subspace_block)
+    monkeypatch.setattr(oracle, "_PAIR_BLOCK", pair_block)
+    monkeypatch.setattr(oracle, "_OUTER_BLOCK", outer_block)
+    assert len(list(oracle._packed(orbit_blocks(code.field, 5, 2, subspace_block, pivots), subspace_block))) > 1
+    assert [call() for call in points] == default
+    assert fixed_rows_built() == reps  # several inner blocks, each built once

@@ -256,6 +256,23 @@ def test_estimate_json_roundtrip():
     assert again == est
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4, 7, 9, 64, 65521]),
+    n=st.integers(1, 40),
+    data=st.data(),
+    model=st.sampled_from(list(RandomModel)),
+    samples=st.integers(1, 2**62),
+    seed=st.integers(0, 2**64 - 1),
+    stderr=st.floats(0, 1e6, allow_nan=False),
+)
+def test_estimate_json_roundtrip_drawn(q, n, data, model, samples, seed, stderr):
+    k1, k2 = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+    total = data.draw(st.integers(0, samples * n))
+    est = Estimate(Params(q, n, k1, k2), model, samples, seed, total, stderr)
+    assert Estimate.from_json(json.loads(json.dumps(est.to_json()))) == est
+
+
 @pytest.mark.parametrize(
     "change",
     [

@@ -90,3 +90,20 @@ def test_peeled_star_dims_full_space(q, n):
     g1, g2 = _pair_generators(field, Params(q, n, n, n), RandomModel.SYSTEMATIC, 3, 0, 5)
     assert (star_dims(field, g1, g2, n) == n).all()
     _assert_peel_exact(field, g1, g2)
+
+
+STAR_QS = [2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 31, 32, 49, 64, 81, 128, 256]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(q=st.sampled_from(STAR_QS), n=st.integers(1, 8), data=st.data())
+def test_star_dims_symmetric_and_bounded(q, n, data):
+    # any generators, rank-deficient ones included, over prime and extension fields
+    k1, k2 = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    g1 = rng.integers(0, q, size=(16, k1, n))
+    g2 = rng.integers(0, q, size=(16, k2, n))
+    field = field_from_order(q)
+    dims = star_dims(field, g1, g2)
+    assert (dims == star_dims(field, g2, g1)).all()
+    assert dims.min() >= 0 and dims.max() <= min(k1 * k2, n)
