@@ -2,10 +2,12 @@
 
 Monte Carlo and the exhaustive oracles compute the same thing: a per-pair
 dimension statistic counted over a pair space.  Only the source of the
-pairs differs, so the counting rule lives here once.  Each job counts its
-pairs with np.bincount and the per-job counts are merged by Python integer
-addition, so a histogram depends neither on how the pair space is split
-into jobs nor on how many threads run them.
+pairs differs, so the counting rule lives here once, and callers apply
+their own statistic (star_dims, meet_dims, or a packed key) and hand over
+integer arrays.  Each job counts its arrays with np.bincount and the
+per-job counts are merged by Python integer addition, so a histogram
+depends neither on how the pair space is split into jobs nor on how many
+threads run them.
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ def meet_dims(field, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return k1 + k2 - rank_many(field, stacked.reshape((-1,) + stacked.shape[-2:]))
 
 
-def dim_histogram(field, stat, size: int, jobs, pairs, threads: int = 1) -> list:
-    """Exact histogram, as Python ints of length size, of stat(field, g1, g2)
-    over every (g1, g2) batch that pairs(job) yields for each job.
+def dim_histogram(size: int, jobs, values, threads: int = 1) -> list:
+    """Exact histogram, as Python ints of length size, of every entry of
+    the integer arrays in [0, size) that values(job) yields for each job.
 
     jobs must be a sequence when threads > 1; jobs then run on up to
     threads worker threads.
@@ -72,8 +74,8 @@ def dim_histogram(field, stat, size: int, jobs, pairs, threads: int = 1) -> list
 
     def work(job):
         counts = np.zeros(size, dtype=np.int64)
-        for g1, g2 in pairs(job):
-            counts += np.bincount(stat(field, g1, g2), minlength=size)
+        for v in values(job):
+            counts += np.bincount(v, minlength=size)
         return counts
 
     if threads > 1 and len(jobs) > 1:

@@ -38,6 +38,18 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _exact_line(label: str, x: Fraction) -> str:
+    return f"{label} = {_frac(x)} (= {_dec(x)})"
+
+
+def _exact_json(name: str, x: Fraction) -> dict:
+    return {f"{name}_num": str(x.numerator), f"{name}_den": str(x.denominator)}
+
+
+def _header(args) -> dict:
+    return {"q": args.q, "n": args.n, "k1": args.k1, "k2": args.k2}
+
+
 def _emit(args, plain_lines, payload) -> None:
     if getattr(args, "format", "plain") == "json":
         print(json.dumps(payload))
@@ -62,43 +74,19 @@ def _load_code(path):
 
 
 def cmd_bound(args) -> int:
-    p = _params(args)
-    res = exact.star_dim_lower_bound(p)
+    res = exact.star_dim_lower_bound(_params(args))
     e = res.kernel_expectation
     _emit(
         args,
-        [
-            f"E[kernel] = {_frac(e)} (= {_dec(e)})",
-            f"bound = {res.bound:.10g}",
-        ],
-        {
-            "q": p.q,
-            "n": p.n,
-            "k1": p.k1,
-            "k2": p.k2,
-            "kernel_num": str(e.numerator),
-            "kernel_den": str(e.denominator),
-            "bound": res.bound,
-        },
+        [_exact_line("E[kernel]", e), f"bound = {res.bound:.10g}"],
+        {**_header(args), **_exact_json("kernel", e), "bound": res.bound},
     )
     return 0
 
 
 def cmd_expect_kernel(args) -> int:
-    p = _params(args)
-    e = exact.expected_kernel_size(p)
-    _emit(
-        args,
-        [f"E[kernel] = {_frac(e)} (= {_dec(e)})"],
-        {
-            "q": p.q,
-            "n": p.n,
-            "k1": p.k1,
-            "k2": p.k2,
-            "kernel_num": str(e.numerator),
-            "kernel_den": str(e.denominator),
-        },
-    )
+    e = exact.expected_kernel_size(_params(args))
+    _emit(args, [_exact_line("E[kernel]", e)], {**_header(args), **_exact_json("kernel", e)})
     return 0
 
 
@@ -229,33 +217,15 @@ def cmd_oracle(args) -> int:
 
 def cmd_mds(args) -> int:
     val = exact.expected_star_dim_mds(args.q, args.n, args.k1, args.k2)
-    _emit(
-        args,
-        [f"E[star dim] = {_frac(val)} (= {_dec(val)})"],
-        {
-            "q": args.q,
-            "n": args.n,
-            "k1": args.k1,
-            "k2": args.k2,
-            "value_num": str(val.numerator),
-            "value_den": str(val.denominator),
-        },
-    )
+    _emit(args, [_exact_line("E[star dim]", val)], {**_header(args), **_exact_json("value", val)})
     return 0
 
 
 def cmd_intersect(args) -> int:
     p = _params(args)
     val = exact.expected_intersection_dim(p)
-    lines = [f"E[intersection dim] = {_frac(val)} (= {_dec(val)})"]
-    payload = {
-        "q": p.q,
-        "n": p.n,
-        "k1": p.k1,
-        "k2": p.k2,
-        "value_num": str(val.numerator),
-        "value_den": str(val.denominator),
-    }
+    lines = [_exact_line("E[intersection dim]", val)]
+    payload = {**_header(args), **_exact_json("value", val)}
     if args.mc:
         est = sampling.mc_intersection_dim(p, args.samples, args.seed, args.threads)
         lines.append(json.dumps(est.to_json()))
@@ -266,30 +236,15 @@ def cmd_intersect(args) -> int:
 
 def cmd_limit_q(args) -> int:
     qs = [int(tok) for tok in args.qlist.split(",") if tok.strip()]
-    rows = []
+    lines, rows = [], []
     for q in qs:
         p = exact.Params(q=q, n=args.n, k1=args.k1, k2=args.k2)
         e = exact.expected_kernel_size(p)
         lim = exact.kernel_limit_value(p)
-        rows.append(
-            {
-                "q": q,
-                "kernel_num": str(e.numerator),
-                "kernel_den": str(e.denominator),
-                "limit_num": str(lim.numerator),
-                "limit_den": str(lim.denominator),
-                "abs_gap": float(abs(e - lim)),
-            }
-        )
-    _emit(
-        args,
-        [
-            f"q={r['q']}: E = {r['kernel_num']}/{r['kernel_den']}, "
-            f"limit = {r['limit_num']}/{r['limit_den']}, |gap| = {r['abs_gap']:.6g}"
-            for r in rows
-        ],
-        rows,
-    )
+        gap = float(abs(e - lim))
+        lines.append(f"q={q}: E = {_frac(e)}, limit = {_frac(lim)}, |gap| = {gap:.6g}")
+        rows.append({"q": q, **_exact_json("kernel", e), **_exact_json("limit", lim), "abs_gap": gap})
+    _emit(args, lines, rows)
     return 0
 
 
@@ -319,7 +274,7 @@ def cmd_example_mds(args) -> int:
             print(f"wrote {path}")
     for name, c in codes:
         val = oracle.exact_expected_star_dim_fixed(c, args.l)
-        print(f"E[dim {name}*D] (dim D = {args.l}) = {_frac(val)} (= {_dec(val)})")
+        print(_exact_line(f"E[dim {name}*D] (dim D = {args.l})", val))
     return 0
 
 

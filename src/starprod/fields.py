@@ -1,16 +1,17 @@
 """Arithmetic for GF(p**m), table driven and numpy friendly.
 
 Elements are encoded as integers in [0, q): an element sum(a_i * x**i) in
-the polynomial basis maps to sum(a_i * p**i).  For prime fields this is
-plain residue arithmetic with a precomputed inverse table.  For extension
-fields the shipped modulus (see _moduli.py) makes x a multiplicative
-generator, so multiplication and inversion go through log/antilog tables
-while addition works digit by digit in base p (XOR when p = 2).
+the polynomial basis maps to sum(a_i * p**i).  Prime fields add, subtract
+and multiply residues.  For extension fields the shipped modulus (see
+_moduli.py) makes x a multiplicative generator, so multiplication goes
+through log/antilog tables, and addition is XOR when p = 2 and a sum of
+base-p digit rows otherwise.  neg and inv are one table lookup on every
+field.
 
 All FieldSpec tables are immutable after construction; the vectorised
-methods accept numpy integer arrays of any integer dtype and broadcastable
-shape and never mutate their inputs.  An input dtype too narrow for an
-operation's intermediate values (an unsigned negation, a uint8 product
+methods accept numpy arrays of encoded elements in [0, q), of any integer
+dtype and broadcastable shape, and never mutate them.  Prime-field add
+and sub compute in int64; a mul input too narrow for its products (uint8
 over GF(31)) is widened to int64 first; int64 inputs are never copied.
 """
 
@@ -67,11 +68,15 @@ def _is_prime(p: int) -> bool:
 class FieldSpec:
     """A finite field GF(p**m) with its lookup tables.
 
+    neg(a) is _neg[a] and inv(a) is _inv[a] after a zero check.  Extension
+    fields multiply through _exp/_log and, for odd p, add through _digits,
+    the base-p digits of every element.  Table lookups need a in [0, q).
+
     Do not call directly; use :func:`field_make` so instances are cached
     per (p, m).  Two specs with equal order are interchangeable.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_inv", "_exp", "_log")
+    __slots__ = ("p", "m", "q", "modulus", "_neg", "_inv", "_exp", "_log", "_digits", "_place")
 
     def __init__(self, p: int, m: int):
         if m < 1:
@@ -84,34 +89,39 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.q = q
+        self.modulus = self._exp = self._log = self._digits = None
+        place = p ** np.arange(m, dtype=np.int64)
+        digits = np.arange(q, dtype=np.int64)[:, None] // place % p
         if m == 1:
-            self.modulus = None
-            self._exp = None
-            self._log = None
             # inv[a] for a >= 1 via the standard recurrence; inv[0] unused
             inv = np.zeros(q, dtype=np.int64)
             if q > 1:
                 inv[1] = 1
             for a in range(2, q):
                 inv[a] = (-(q // a) * inv[q % a]) % q
-            self._inv = inv
-            inv.flags.writeable = False
         else:
             key = (p, m)
             if key not in MODULI:
                 raise NoModulusTableEntry(f"no shipped modulus for GF({p}^{m})")
             self.modulus = MODULI[key]
-            self._inv = None
-            self._build_log_tables()
+            self._build_log_tables(digits, place)
+            inv = np.concatenate(([0], self._exp[-self._log[1:] % (q - 1)]))
+            if p > 2:
+                # a sum of two digits is at most 2(p - 1), so add never widens
+                self._digits = digits.astype(np.min_scalar_type(2 * (p - 1)))
+        self._place = place
+        self._neg = -digits % p @ place
+        self._inv = inv
+        for table in (self._neg, self._inv, self._exp, self._log, self._digits, self._place):
+            if table is not None:
+                table.flags.writeable = False
 
-    def _build_log_tables(self) -> None:
+    def _build_log_tables(self, digits: np.ndarray, place: np.ndarray) -> None:
         p, m, q = self.p, self.m, self.q
         # x times every element: shift its base-p digits up one place and
         # reduce the overflow digit with x**m = -red, red = modulus[:m]
-        powers = p ** np.arange(m, dtype=np.int64)
-        digits = np.arange(q, dtype=np.int64)[:, None] // powers % p
         shifted = np.pad(digits[:, :-1], ((0, 0), (1, 0)))
-        times_x = ((shifted - digits[:, -1:] * np.array(self.modulus[:m])) % p @ powers).tolist()
+        times_x = ((shifted - digits[:, -1:] * np.array(self.modulus[:m])) % p @ place).tolist()
         powers_of_x = [1]
         for i in range(1, q - 1):
             val = times_x[powers_of_x[-1]]
@@ -121,58 +131,31 @@ class FieldSpec:
         exp = np.array(powers_of_x, dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
+        # x never reaches 1 only if it is a zero divisor: then some power
+        # is 0 or repeats, and some nonzero element is no power of x
+        if (exp[log[1:]] != np.arange(1, q)).any():
+            raise NoModulusTableEntry(f"modulus for GF({p}^{m}) is reducible (x is a zero divisor)")
         self._exp = exp
         self._log = log
-        exp.flags.writeable = False
-        log.flags.writeable = False
 
     # -- vectorised arithmetic on integer-encoded elements ----------------
 
     def add(self, a, b):
-        a = np.asarray(a)
-        b = np.asarray(b)
         if self.m == 1:
-            if a.dtype != _INT64 or b.dtype != _INT64:
-                a, b = _fitted(0, 2 * (self.q - 1), a, b)
-            return (a + b) % self.q
+            return np.add(a, b, dtype=np.int64) % self.q
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        if a.dtype != _INT64 or b.dtype != _INT64:
-            a, b = _fitted(0, self.q - 1, a, b)
-        out = 0
-        pw = 1
-        for _ in range(self.m):
-            out = out + (((a // pw) % self.p + (b // pw) % self.p) % self.p) * pw
-            pw *= self.p
-        return out
+        return (self._digits[a] + self._digits[b]) % self.p @ self._place
 
     def neg(self, a):
-        a = np.asarray(a)
-        if self.m == 1:
-            if a.dtype != _INT64:
-                (a,) = _fitted(1 - self.q, self.q, a)
-            return (-a) % self.q
-        if self.p == 2:
-            return a.copy() if a.flags.writeable else a
-        if a.dtype != _INT64:
-            (a,) = _fitted(1 - self.p, self.q - 1, a)
-        out = 0
-        pw = 1
-        for _ in range(self.m):
-            out = out + ((-((a // pw) % self.p)) % self.p) * pw
-            pw *= self.p
-        return out
+        return self._neg[a]
 
     def sub(self, a, b):
         if self.m == 1:
-            a = np.asarray(a)
-            b = np.asarray(b)
-            if a.dtype != _INT64 or b.dtype != _INT64:
-                a, b = _fitted(1 - self.q, self.q, a, b)
-            return (a - b) % self.q
+            return np.subtract(a, b, dtype=np.int64) % self.q
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        return self.add(a, self.neg(b))
+        return self.add(a, self._neg[b])
 
     def mul(self, a, b):
         a = np.asarray(a)
@@ -190,9 +173,7 @@ class FieldSpec:
         a = np.asarray(a)
         if (a == 0).any():
             raise DivisionByZero("zero has no multiplicative inverse")
-        if self.m == 1:
-            return self._inv[a]
-        return self._exp[(-self._log[a]) % (self.q - 1)]
+        return self._inv[a]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -201,14 +182,6 @@ class FieldSpec:
 
     def elem(self, value: int) -> "FieldElem":
         return FieldElem(self, int(value))
-
-    def coeffs(self, value: int) -> tuple:
-        """Base-p digits of an encoded element, constant term first."""
-        out = []
-        for _ in range(self.m):
-            out.append(value % self.p)
-            value //= self.p
-        return tuple(out)
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.q == other.q

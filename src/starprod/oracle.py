@@ -201,18 +201,15 @@ def _orbit_histogram(field: FieldSpec, stat, size: int, z_max: int, outer, inner
             return head
         return started.pop() if started else inner_blocks()
 
-    def pairs(batch):
+    def keys(batch):
         g1, z1 = batch
         width = max(1, _PAIR_BLOCK // len(g1))
         for g2, z2 in blocks():
             for s in range(0, len(g2), width):
-                yield (g1[:, None], z1[:, None]), (g2[None, s : s + width], z2[None, s : s + width])
+                g2s, z2s = g2[None, s : s + width], z2[None, s : s + width]
+                yield stat(field, g1[:, None], g2s) + size * (z1[:, None] + z2s).ravel()
 
-    def keys(field, a, b):
-        (g1, z1), (g2, z2) = a, b
-        return stat(field, g1, g2) + size * (z1 + z2).ravel()
-
-    keyed = dim_histogram(field, keys, size * (z_max + 1), outer, pairs)
+    keyed = dim_histogram(size * (z_max + 1), outer, keys)
     hist = [0] * size
     for key, c in enumerate(keyed):
         hist[key % size] += c * (field.q - 1) ** (key // size)
@@ -362,12 +359,12 @@ def count_zero_diag_oracle(k1: int, k2: int, q: int, budget=None) -> ZeroDiagCou
     _budget(budget).charge(_index_count([q] * int(free.sum())))
     w = k2 - k1
 
-    def key(field, mats, _):
+    def keys(mats):
         zero_cols = (mats[:, :, k1:] == 0).all(axis=1)
-        return rank_many(field, mats) * (1 << w) + zero_cols @ (1 << np.arange(w, dtype=np.int64))
+        yield rank_many(field, mats) * (1 << w) + zero_cols @ (1 << np.arange(w, dtype=np.int64))
 
     blocks = _fillings(free, np.zeros((k1, k2), dtype=np.int64), q, _SUBSPACE_BLOCK)
-    counts = dim_histogram(field, key, (k1 + 1) << w, blocks, lambda mats: [(mats, None)])
+    counts = dim_histogram((k1 + 1) << w, blocks, keys)
     out = ZeroDiagCounts()
     for index, c in enumerate(counts):
         if c:

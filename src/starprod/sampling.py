@@ -230,11 +230,9 @@ def _sample_histogram(p: Params, model, samples, seed, threads, stat) -> list:
         stat = functools.partial(stat, prefix=min(p.k1, p.k2))
     chunks = [(s, min(_CHUNK, samples - s)) for s in range(0, samples, _CHUNK)]
     return dim_histogram(
-        field,
-        stat,
         min(p.k1 * p.k2, p.n) + 1,
         chunks,
-        lambda chunk: [_pair_generators(field, p, model, seed, *chunk)],
+        lambda chunk: [stat(field, *_pair_generators(field, p, model, seed, *chunk))],
         resolve_threads(threads),
     )
 

@@ -196,6 +196,16 @@ def test_log_tables_unchanged():
     assert h.hexdigest() == "cbc7711d5d3476832eb7ecf1fae1790ec88765f6d9429e9508ed1afaf0a6f52e"
 
 
+def test_zero_divisor_modulus_raises(monkeypatch):
+    # x^2 + x = x(x + 1): x is a zero divisor, so its powers 1, x, x, ...
+    # repeat without returning to 1
+    import starprod.fields as fields_mod
+
+    monkeypatch.setattr(fields_mod, "MODULI", {(2, 2): (0, 1, 1)})
+    with pytest.raises(NoModulusTableEntry, match="zero divisor"):
+        FieldSpec(2, 2)
+
+
 def test_non_primitive_modulus_raises(monkeypatch):
     # x^4 + x^3 + x^2 + x + 1 is irreducible over GF(2), but x has order 5
     import starprod.fields as fields_mod
@@ -203,6 +213,35 @@ def test_non_primitive_modulus_raises(monkeypatch):
     monkeypatch.setattr(fields_mod, "MODULI", {(2, 4): (1, 1, 1, 1, 1)})
     with pytest.raises(NoModulusTableEntry, match="x has order 5"):
         FieldSpec(2, 4)
+
+
+@pytest.mark.parametrize("q", DTYPE_Q)
+def test_neg_and_inv_tables_cover_every_element(q):
+    f = field_from_order(q)
+    elems = np.arange(q)
+    assert (f.add(elems, f.neg(elems)) == 0).all()
+    assert (f.mul(elems[1:], f.inv(elems[1:])) == 1).all()
+
+
+def _digits(field, v):
+    return [v // field.p**j % field.p for j in range(field.m)]
+
+
+def _from_digits(field, digits):
+    return sum(d % field.p * field.p**j for j, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("p,m", sorted(key for key in MODULI if key[0] > 2))
+def test_odd_extension_add_neg_match_digitwise(p, m):
+    # add and neg over GF(p^m), p odd, against base-p digit arithmetic
+    f = field_make(p, m)
+    a, b = np.random.default_rng(p * 100 + m).integers(0, f.q, size=(2, 64))
+    got_add, got_neg, got_sub = f.add(a, b), f.neg(a), f.sub(a, b)
+    for i, (x, y) in enumerate(zip(a.tolist(), b.tolist())):
+        dx, dy = _digits(f, x), _digits(f, y)
+        assert got_add[i] == _from_digits(f, [s + t for s, t in zip(dx, dy)])
+        assert got_neg[i] == _from_digits(f, [-s for s in dx])
+        assert got_sub[i] == _from_digits(f, [s - t for s, t in zip(dx, dy)])
 
 
 @pytest.mark.parametrize("q", DTYPE_Q)

@@ -260,7 +260,7 @@ def _full_blocks(field, n, k, model):
 def _full_histogram(field, stat, size, g1, g2):
     """Histogram of stat over every (g1[i], g2[j]) pair, enumerated in full."""
     jobs = [g1[i : i + 64] for i in range(0, len(g1), 64)]
-    return dim_histogram(field, stat, size, jobs, lambda g: [(g[:, None], g2[None])])
+    return dim_histogram(size, jobs, lambda g: [stat(field, g[:, None], g2[None])])
 
 
 def _small_pair_points(model):

@@ -49,10 +49,10 @@ def test_dim_histogram_independent_of_jobs_and_threads():
     rng = np.random.default_rng(1)
     g1 = np.stack([c.basis.data for c in _codes(field, 4, 2, 6, rng)])
     g2 = np.stack([c.basis.data for c in _codes(field, 4, 2, 6, rng)])
-    whole = dim_histogram(field, star_dims, 5, [0], lambda _: [(g1, g2)])
-    one_pair = lambda i: [(g1[i : i + 1], g2[i : i + 1])]
+    whole = dim_histogram(5, [0], lambda _: [star_dims(field, g1, g2)])
+    one_pair = lambda i: [star_dims(field, g1[i : i + 1], g2[i : i + 1])]
     for threads in (1, 2):
-        split = dim_histogram(field, star_dims, 5, range(6), one_pair, threads)
+        split = dim_histogram(5, range(6), one_pair, threads)
         assert split == whole
     assert sum(whole) == 6 and all(type(c) is int for c in whole)
 
