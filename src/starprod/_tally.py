@@ -58,7 +58,7 @@ def meet_dims(field, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     full-rank generators, flattened; shapes broadcast as in star_dims."""
     k1, k2 = g1.shape[-2], g2.shape[-2]
     lead = np.broadcast_shapes(g1.shape[:-2], g2.shape[:-2])
-    stacked = np.empty(lead + (k1 + k2, g1.shape[-1]), dtype=np.int64)
+    stacked = np.empty(lead + (k1 + k2, g1.shape[-1]), dtype=np.result_type(g1, g2))
     stacked[..., :k1, :] = g1
     stacked[..., k1:, :] = g2
     return k1 + k2 - rank_many(field, stacked.reshape((-1,) + stacked.shape[-2:]))

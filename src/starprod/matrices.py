@@ -12,7 +12,9 @@ calls at the sizes this package cares about.  It steps over the shorter
 side (transposing wide batches), works on one column-major private copy,
 marks pivot rows in place of swapping them, and over prime fields defers
 ``% q`` to the pivot column and row, which bounds every entry and lets
-the copy use the narrowest integer dtype that holds the bound.
+the copy use the narrowest integer dtype that holds the bound.  Extension
+fields up to q = 256 eliminate on a uint8 copy through the FieldSpec's
+q*q tables (XOR subtraction for p = 2); larger ones on an int64 copy.
 """
 
 from __future__ import annotations
@@ -191,7 +193,9 @@ def rank_many(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
     it stays in [-(steps - 1)(q - 1)^2, q - 1], and the copy takes the
     narrowest signed integer dtype holding that range (int8 for GF(2) up
     to 129 steps; int64 is enough for any q <= 2^16 and side <= 4096).
-    Extension fields keep int64 and the FieldSpec arithmetic.
+    Extension fields use the FieldSpec arithmetic, which keeps entries in
+    [0, q): the copy is uint8 up to q = 256, where mul (and sub for odd p)
+    is one q*q table lookup and sub is XOR for p = 2, and int64 above.
     """
     mats = np.asarray(mats)
     if mats.ndim != 3:
@@ -203,7 +207,7 @@ def rank_many(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
     q = field.q
     prime = field.m == 1
     # -max(low, q) fits a signed dtype exactly when -low and q - 1 both do
-    dtype = np.min_scalar_type(-max((steps - 1) * (q - 1) ** 2, q)) if prime else np.int64
+    dtype = np.min_scalar_type(-max((steps - 1) * (q - 1) ** 2, q)) if prime else field._dtype
     m = np.array(mats.transpose(2, 0, 1) if R >= C else mats.transpose(1, 0, 2), dtype=dtype, order="C")
     prod = np.empty_like(m[1:]) if prime else None
     used = np.zeros(m.shape[1:], dtype=bool)
@@ -227,7 +231,7 @@ def rank_many(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
             np.multiply(prow[:, :, None], (col * cand)[None], out=out)
             rest -= out
         else:
-            prow = field.mul(rest[:, bidx, piv], pivinv)
+            prow = field.mul(rest[:, bidx, piv], pivinv.astype(dtype))
             rest[...] = field.sub(rest, field.mul(prow[:, :, None], (col * cand)[None]))
     return used.sum(axis=1, dtype=np.int64)
 

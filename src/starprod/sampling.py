@@ -63,14 +63,13 @@ def _round4(w: int) -> int:
 def _systematic_from_words(field, words, n, k, offset):
     """Systematic generators [I_k | A], A from k*(n-k) words mod q.
 
-    Over a prime field the dtype is np.min_scalar_type((q-1)**2), the
-    narrowest one in which a product of two entries cannot wrap (uint8 up
-    to q = 16), so FieldSpec.mul and rank_many work on narrow copies.
-    Extension fields use int64, as their FieldSpec tables do.
+    Generators of both models come in field._dtype, the narrowest dtype
+    whose products FieldSpec.mul forms without widening (uint8 up to
+    q = 16 on prime fields and up to q = 256 on extension fields), so
+    FieldSpec.mul and rank_many work on narrow copies.
     """
     b = words.shape[0]
-    dtype = np.min_scalar_type((field.q - 1) ** 2) if field.m == 1 else np.int64
-    g = np.zeros((b, k, n), dtype=dtype)
+    g = np.zeros((b, k, n), dtype=field._dtype)
     g[:, np.arange(k), np.arange(k)] = 1
     a = k * (n - k)
     if a:
@@ -90,8 +89,9 @@ def _pivot_thresholds(q: int, n: int, k: int) -> np.ndarray:
 
 
 def _uniform_from_words(field, words, n, k, offset):
-    """Canonical RREF bases of uniform k-dim subspaces: n words pick the
-    pivot columns left to right, then k*n words mod q fill the free cells."""
+    """Canonical RREF bases of uniform k-dim subspaces in field._dtype:
+    n words pick the pivot columns left to right, then k*n words mod q
+    fill the free cells."""
     b = words.shape[0]
     thresholds = _pivot_thresholds(field.q, n, k)
     pivots = np.empty((b, n), dtype=bool)
@@ -99,9 +99,11 @@ def _uniform_from_words(field, words, n, k, offset):
     for j in range(n):
         pivots[:, j] = (words[:, offset + j] < thresholds[n - j, left]) | (left == n - j)
         left -= pivots[:, j]
-    free, g = _rref_cells(pivots, k)
+    free, ones = _rref_cells(pivots, k)
     lo = offset + n
-    g += (words[:, lo : lo + k * n] % field.q).astype(np.int64).reshape(b, k, n) * free
+    g = _mod(words[:, lo : lo + k * n], field.q).astype(field._dtype).reshape(b, k, n)
+    g *= free
+    g += ones.astype(field._dtype)
     return g, lo + k * n
 
 

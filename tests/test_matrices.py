@@ -84,13 +84,16 @@ def test_rank_many_matches_rank():
         assert got.tolist() == want
 
 
-RANK_QS = (2, 3, 5, 7, 251, 65521, 4, 8, 9, 16, 256)
+# primes, extension fields on the q*q tables (q <= 256) and on the
+# log/antilog path (729)
+RANK_QS = (2, 3, 5, 7, 251, 65521, 4, 8, 9, 16, 27, 243, 256, 729)
 
 
 @st.composite
 def rank_batches(draw):
     """(field, batch): any of batch, rows, cols may be 0; dense, sparse
-    (mostly zeros) or with the first rows repeated (rank deficient)."""
+    (mostly zeros) or with the first rows repeated (rank deficient); the
+    batch is uint8 or int64 when q <= 256, int64 above."""
     q = draw(st.sampled_from(RANK_QS))
     shape = draw(st.tuples(st.integers(0, 4), st.integers(0, 7), st.integers(0, 7)))
     kind = draw(st.sampled_from(("dense", "sparse", "duplicate")))
@@ -100,7 +103,8 @@ def rank_batches(draw):
     if kind == "duplicate":
         half = shape[1] // 2
         batch[:, shape[1] - half :] = batch[:, :half]
-    return field_make(*_pm(q)), batch
+    dtype = draw(st.sampled_from((np.uint8, np.int64))) if q <= 256 else np.int64
+    return field_make(*_pm(q)), batch.astype(dtype)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -109,6 +113,7 @@ def test_rank_many_equals_rref_rank_property(case):
     f, batch = case
     got = rank_many(f, batch)
     assert got.dtype == np.int64 and got.shape == batch.shape[:1]
+    assert got.tolist() == rank_many(f, batch.astype(np.int64)).tolist()
     assert got.tolist() == [rank(Mat(f, b)) for b in batch]
 
 

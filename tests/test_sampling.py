@@ -155,6 +155,26 @@ def test_pair_generators_chunk_independent(model, start, count):
         assert (a == b[start:]).all()
 
 
+@pytest.mark.parametrize("model", list(RandomModel), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "q,dtype",
+    [(2, np.uint8), (7, np.uint8), (251, np.uint16), (4, np.uint8), (9, np.uint8), (243, np.uint8), (256, np.uint8), (729, np.int64)],
+)
+def test_pair_generators_narrow_dtype(monkeypatch, q, dtype, model):
+    # generators come in the narrow dtype up to q = 256, with the values
+    # an int64 decode of the same words gives, at chunk-boundary starts
+    field = field_from_order(q)
+    p = Params(q, 6, 2, 3)
+    starts = (0, sampling._CHUNK - 3, sampling._CHUNK, 2 * sampling._CHUNK - 1)
+    narrow = [sampling._pair_generators(field, p, model, 9, start, 7) for start in starts]
+    monkeypatch.setattr(field, "_dtype", np.dtype(np.int64))
+    for start, gens in zip(starts, narrow):
+        wide = sampling._pair_generators(field, p, model, 9, start, 7)
+        for g, w in zip(gens, wide):
+            assert g.dtype == dtype and w.dtype == np.int64
+            assert (g == w).all(), start
+
+
 def test_mc_star_dim_full_space_exact():
     p = Params(2, 3, 3, 3)
     est = mc_star_dim(p, samples=500, seed=0)
