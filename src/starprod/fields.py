@@ -4,19 +4,18 @@ Elements are encoded as integers in [0, q): an element sum(a_i * x**i) in
 the polynomial basis maps to sum(a_i * p**i).  Prime fields add, subtract
 and multiply residues.  For extension fields the shipped modulus (see
 _moduli.py) makes x a multiplicative generator.  Up to q = 256 (_TABLE_Q)
-multiplication, and for odd p addition and subtraction, is one lookup in
-a flat q*q uint8 table indexed by a*q + b; addition is XOR when p = 2.
-Above 256, multiplication goes through log/antilog tables and odd-p
-addition sums base-p digit rows.  neg and inv are one table lookup on
-every field.
+multiplication is one lookup in a flat q*q uint8 table indexed by
+a*q + b; above 256 it goes through log/antilog tables.  Addition is XOR
+when p = 2 and a sum of base-p digit rows otherwise.  neg and inv are
+one table lookup on every field.
 
 All FieldSpec tables are immutable after construction; the vectorised
 methods accept numpy arrays of encoded elements in [0, q), of any integer
 dtype and broadcastable shape, and never mutate them.  Prime-field add
 and sub compute in int64; a mul input too narrow for its products (uint8
 over GF(31)) is widened to int64 first; int64 inputs are never copied.
-A q*q table lookup returns np.result_type(a, b, np.uint8), which holds
-[0, q): uint8 for uint8 inputs, int64 for int64 ones.
+An extension mul up to q = 256 returns np.result_type(a, b, np.uint8),
+which holds [0, q): uint8 for uint8 inputs, int64 for int64 ones.
 """
 
 from __future__ import annotations
@@ -75,12 +74,10 @@ class FieldSpec:
 
     neg(a) is _neg[a] and inv(a) is _inv[a] after a zero check.  Extension
     fields of order q <= _TABLE_Q multiply through _mul, the flat q*q
-    uint8 table of products indexed by a*q + b, and for odd p add and
-    subtract through the _add and _sub tables alike.  Larger extension
-    fields multiply through _exp/_log and, for odd p, add through
-    _digits, the base-p digits of every element.  _exp/_log exist for
-    every extension field; they build _mul and _inv.  Table lookups need
-    a in [0, q).
+    uint8 table of products indexed by a*q + b; larger ones through
+    _exp/_log, which exist for every extension field and build _mul and
+    _inv.  Odd-p extension fields add through _digits, the base-p digits
+    of every element.  Table lookups need a in [0, q).
 
     _dtype is the narrowest dtype for arrays of elements that mul takes
     without widening: np.min_scalar_type((q-1)**2) on prime fields, where
@@ -91,9 +88,7 @@ class FieldSpec:
     per (p, m).  Two specs with equal order are interchangeable.
     """
 
-    __slots__ = (
-        "p", "m", "q", "modulus", "_dtype", "_neg", "_inv", "_exp", "_log", "_digits", "_place", "_mul", "_add", "_sub"
-    )
+    __slots__ = ("p", "m", "q", "modulus", "_dtype", "_neg", "_inv", "_exp", "_log", "_digits", "_place", "_mul")
 
     def __init__(self, p: int, m: int):
         if m < 1:
@@ -106,10 +101,9 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.q = q
-        self.modulus = self._exp = self._log = self._digits = self._mul = self._add = self._sub = None
+        self.modulus = self._exp = self._log = self._digits = self._mul = None
         place = p ** np.arange(m, dtype=np.int64)
         digits = np.arange(q, dtype=np.int64)[:, None] // place % p
-        neg = -digits % p @ place
         self._dtype = np.dtype(np.int64)
         if m == 1:
             self._dtype = np.min_scalar_type((q - 1) ** 2)
@@ -132,19 +126,13 @@ class FieldSpec:
                 mul = self._exp[(log[:, None] + log) % (q - 1)]
                 mul[0] = mul[:, 0] = 0  # log[0] is a placeholder: 0 has no log
                 self._mul = mul.astype(np.uint8).ravel()
-                if p > 2:
-                    add = (digits[:, None] + digits) % p @ place
-                    self._add = add.astype(np.uint8).ravel()
-                    self._sub = add[:, neg].astype(np.uint8).ravel()
-            elif p > 2:
+            if p > 2:
                 # a sum of two digits is at most 2(p - 1), so add never widens
                 self._digits = digits.astype(np.min_scalar_type(2 * (p - 1)))
         self._place = place
-        self._neg = neg
+        self._neg = -digits % p @ place
         self._inv = inv
-        for table in (
-            self._neg, self._inv, self._exp, self._log, self._digits, self._place, self._mul, self._add, self._sub
-        ):
+        for table in (self._neg, self._inv, self._exp, self._log, self._digits, self._place, self._mul):
             if table is not None:
                 table.flags.writeable = False
 
@@ -172,23 +160,11 @@ class FieldSpec:
 
     # -- vectorised arithmetic on integer-encoded elements ----------------
 
-    def _lookup(self, table, a, b):
-        """table[a*q + b] in np.result_type(a, b, np.uint8), the index
-        computed in the narrowest dtype that holds q*q - 1 (the unsafe
-        casts are exact for a and b in [0, q))."""
-        a = np.asarray(a)
-        b = np.asarray(b)
-        idx = np.multiply(a, self.q, dtype=np.min_scalar_type(self.q**2 - 1), casting="unsafe")
-        idx = np.add(idx, b, dtype=idx.dtype, casting="unsafe")
-        return np.take(table, idx).astype(np.result_type(a, b, np.uint8), copy=False)
-
     def add(self, a, b):
         if self.m == 1:
             return np.add(a, b, dtype=np.int64) % self.q
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        if self._add is not None:
-            return self._lookup(self._add, a, b)
         return (self._digits[a] + self._digits[b]) % self.p @ self._place
 
     def neg(self, a):
@@ -199,8 +175,6 @@ class FieldSpec:
             return np.subtract(a, b, dtype=np.int64) % self.q
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        if self._sub is not None:
-            return self._lookup(self._sub, a, b)
         return self.add(a, self._neg[b])
 
     def mul(self, a, b):
@@ -213,7 +187,11 @@ class FieldSpec:
             out -= out // self.q * self.q
             return out
         if self._mul is not None:
-            return self._lookup(self._mul, a, b)
+            # _mul[a*q + b], the index in the narrowest dtype that holds
+            # q*q - 1 (the unsafe casts are exact for a and b in [0, q))
+            idx = np.multiply(a, self.q, dtype=np.min_scalar_type(self.q**2 - 1), casting="unsafe")
+            idx = np.add(idx, b, dtype=idx.dtype, casting="unsafe")
+            return np.take(self._mul, idx).astype(np.result_type(a, b, np.uint8), copy=False)
         prod = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
         return np.where((a == 0) | (b == 0), 0, prod)
 

@@ -14,7 +14,7 @@ marks pivot rows in place of swapping them, and over prime fields defers
 ``% q`` to the pivot column and row, which bounds every entry and lets
 the copy use the narrowest integer dtype that holds the bound.  Extension
 fields up to q = 256 eliminate on a uint8 copy through the FieldSpec's
-q*q tables (XOR subtraction for p = 2); larger ones on an int64 copy.
+q*q mul table; larger ones on an int64 copy.
 """
 
 from __future__ import annotations
@@ -194,8 +194,9 @@ def rank_many(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
     narrowest signed integer dtype holding that range (int8 for GF(2) up
     to 129 steps; int64 is enough for any q <= 2^16 and side <= 4096).
     Extension fields use the FieldSpec arithmetic, which keeps entries in
-    [0, q): the copy is uint8 up to q = 256, where mul (and sub for odd p)
-    is one q*q table lookup and sub is XOR for p = 2, and int64 above.
+    [0, q): the copy is uint8 up to q = 256, where mul is one q*q table
+    lookup, and int64 above.  Subtraction is XOR for p = 2; for odd p the
+    digit-table sum returns int64, which the copy casts back.
     """
     mats = np.asarray(mats)
     if mats.ndim != 3:

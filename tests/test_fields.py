@@ -246,14 +246,13 @@ def test_odd_extension_add_neg_match_digitwise(p, m):
 
 @pytest.mark.parametrize("p,m", sorted(key for key in MODULI if key[0] ** key[1] <= 256))
 def test_qq_tables_match_log_and_digit_formulas(p, m):
-    # every pair (a, b) of GF(p^m), q <= 256, through the q*q tables
-    # against exp[(log a + log b) % (q - 1)] and base-p digit sums; for
-    # uint8, int8 and int64 inputs a table lookup returns a dtype that
-    # holds [0, q) (add and sub are XOR for p = 2)
+    # every pair (a, b) of GF(p^m), q <= 256: mul through the q*q table
+    # against exp[(log a + log b) % (q - 1)], add and sub against base-p
+    # digit sums; for uint8, int8 and int64 inputs the table lookup
+    # returns a dtype that holds [0, q)
     f = field_make(p, m)
     q = f.q
-    tabled = {f.mul, f.add, f.sub} if p > 2 else {f.mul}
-    assert f._mul is not None and (p > 2) == (f._add is not None) == (f._sub is not None)
+    assert f._mul is not None
     a, b = (x.ravel() for x in np.meshgrid(np.arange(q), np.arange(q), indexing="ij"))
     place = p ** np.arange(m)
     da, db = a[:, None] // place % p, b[:, None] // place % p
@@ -267,7 +266,7 @@ def test_qq_tables_match_log_and_digit_formulas(p, m):
         x, y = a[fits].astype(dtype), b[fits].astype(dtype)
         for op, expected in want.items():
             got = op(x, y)
-            if op in tabled:
+            if op == f.mul:
                 assert np.iinfo(got.dtype).min <= 0 and np.iinfo(got.dtype).max >= q - 1, (op, dtype)
             assert (got == expected[fits]).all(), (op, dtype)
 
