@@ -1,8 +1,11 @@
 import itertools
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from starprod import (
     Mat,
@@ -21,7 +24,7 @@ from starprod import (
     support,
 )
 from starprod import codes
-from starprod.catalog import full_space, hamming_7_4, mds63_gf7_codes, repetition_code, single_coordinate_code
+from starprod.catalog import evaluation_code, full_space, hamming_7_4, mds63_gf7_codes, repetition_code, single_coordinate_code
 from starprod.errors import (
     BudgetExceeded,
     DegenerateInput,
@@ -179,6 +182,51 @@ def _full_rank_bases(field, n, k, count, rng):
     return np.array(out)
 
 
+def _mds_basis(field, n, k):
+    """A basis of an MDS [n, k] code, or None where none is at hand."""
+    if k == n:
+        return np.eye(n, dtype=np.int64)
+    if k == 1:
+        return np.ones((1, n), dtype=np.int64)
+    if k == n - 1:
+        return np.hstack([np.eye(k, dtype=np.int64), np.ones((k, 1), dtype=np.int64)])
+    if n <= field.q:
+        return evaluation_code(field, k, points=list(range(n))).basis.data
+    return None
+
+
+def _mixed_bases(field, n, k, rng):
+    """Random full-rank bases, one with a weight-1 codeword (d = 1) and one
+    MDS basis (d = n - k + 1) where one is at hand, so the column-subset
+    levels close some bases at the first level and leave others open past
+    the last."""
+    parts = [_full_rank_bases(field, n, k, 3, rng)]
+    while True:
+        m = _full_rank_bases(field, n, k, 1, rng)
+        m[0, 0] = 0
+        m[0, 0, rng.integers(n)] = 1
+        if rank(Mat(field, m[0])) == k:
+            parts.append(m)
+            break
+    mds = _mds_basis(field, n, k)
+    if mds is not None:
+        parts.append(mds[None])
+    return np.concatenate(parts)
+
+
+def _check_routes(field, bases):
+    """The picked route and both routes, each called directly, equal brute
+    force on the stack."""
+    want = _brute_min_weights(field, bases)
+    _, k, n = bases.shape
+    assert 1 in want, (field.q, n, k)
+    if _mds_basis(field, n, k) is not None:
+        assert n - k + 1 in want, (field.q, n, k)
+    assert codes._min_weights(field, bases, 2**24).tolist() == want, (field.q, n, k)
+    assert codes._subset_min_weights(field, bases).tolist() == want, (field.q, n, k)
+    assert codes._enumerated_min_weights(field, bases).tolist() == want, (field.q, n, k)
+
+
 def test_min_weights_equal_brute_force_on_criterion_9_shapes():
     # every (q, n, k) the per-instance bound check draws, plus k = n
     rng = np.random.default_rng(11)
@@ -186,9 +234,7 @@ def test_min_weights_equal_brute_force_on_criterion_9_shapes():
         f = field_make(q)
         for n in range(2, 9):
             for k in range(1, n + 1):
-                bases = _full_rank_bases(f, n, k, 3, rng)
-                got = codes._min_weights(f, bases, 2**24)
-                assert got.tolist() == _brute_min_weights(f, bases), (q, n, k)
+                _check_routes(f, _mixed_bases(f, n, k, rng))
 
 
 def test_min_weights_equal_brute_force_over_extension_fields():
@@ -197,8 +243,52 @@ def test_min_weights_equal_brute_force_over_extension_fields():
     for q, ks in shapes.items():
         f = field_make(*_pm(q))
         for k, n in ks:
-            bases = _full_rank_bases(f, n, k, 3, rng)
-            assert codes._min_weights(f, bases, 2**24).tolist() == _brute_min_weights(f, bases), (q, n, k)
+            _check_routes(f, _mixed_bases(f, n, k, rng))
+
+
+@st.composite
+def small_codes(draw):
+    """(q, n, k, seed) of a drawn code with n <= 8 and q**k <= 8192, so
+    brute force stays cheap; high rates take the column-subset route and
+    low rates the enumeration."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, min(n, int(math.log(8192, q) + 1e-9))))
+    return q, n, k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(small_codes())
+@example((7, 7, 6, 0))  # column subsets
+@example((2, 8, 2, 0))  # enumeration
+def test_min_distance_equals_brute_force_property(shape):
+    q, n, k, seed = shape
+    f = field_make(*_pm(q))
+    c = random_code(f, n, k, np.random.default_rng(seed))
+    assert min_distance(c) == _brute_min_weights(f, c.basis.data[None])[0]
+
+
+def test_min_weights_picks_route_by_cell_count(monkeypatch):
+    f2, f7 = field_make(2), field_make(7)
+
+    def refuse(field, bases):
+        raise AssertionError("route not expected here")
+
+    # high rate over GF(7): the enumeration would take 19,608 messages for [7, 6]
+    monkeypatch.setattr(codes, "_enumerated_min_weights", refuse)
+    assert min_distance(grs_code(7, 7, 6)) == 2
+    assert min_distance(grs_code(7, 7, 5)) == 3
+    monkeypatch.undo()
+    # [10, 9] over GF(2): 5,110 enumeration cells against 7,290 at the first level
+    # alone; [60, 3] over GF(2) has about 2**60 subsets, none of them indexed
+    monkeypatch.setattr(codes, "_subset_min_weights", refuse)
+    assert min_distance(dual(repetition_code(f2, 10))) == 2
+    blocks = np.kron(np.eye(3, dtype=np.int64), np.ones((1, 20), dtype=np.int64))
+    assert min_distance(code_from_matrix(Mat(f2, blocks))) == 20
+    # k = n has no subset level to rank
+    monkeypatch.undo()
+    monkeypatch.setattr(codes, "_enumerated_min_weights", refuse)
+    assert min_distance(full_space(f7, 8)) == 1
 
 
 def test_min_weights_blocks_match_single_codes(monkeypatch):
@@ -218,10 +308,24 @@ def test_min_weights_blocks_match_single_codes(monkeypatch):
         monkeypatch.setattr(codes, "_BLOCK_CELLS", 50)
         assert codes._min_weights(f, bases, 2**24).tolist() == single
         monkeypatch.undo()
+    # column subsets: a cap below one subset of the stack ranks one subset a call
+    f7 = field_make(7)
+    bases = np.concatenate([_mixed_bases(f7, 7, 5, rng) for _ in range(4)])
+    single = [min_distance(code_from_matrix(Mat(f7, b))) for b in bases]
+    assert codes._subset_min_weights(f7, bases).tolist() == single
+    monkeypatch.setattr(codes, "_BLOCK_CELLS", 50)
+    assert codes._subset_min_weights(f7, bases).tolist() == single
 
 
 def test_min_distance_budget_edge():
-    for code, d in ((hamming_7_4(), 3), (grs_code(5, 5, 2), 4), (repetition_code(field_make(2, 2), 4), 4)):
+    # the enumeration and, for the two GF(7) codes, the column subsets
+    for code, d in (
+        (hamming_7_4(), 3),
+        (grs_code(5, 5, 2), 4),
+        (repetition_code(field_make(2, 2), 4), 4),
+        (grs_code(7, 7, 6), 2),
+        (grs_code(7, 7, 5), 3),
+    ):
         q, k = code.field.q, code.k
         assert min_distance(code, budget=q**k) == d
         with pytest.raises(BudgetExceeded, match=re.escape(f"q**k = {q}**{k} exceeds budget {q**k - 1}")):
