@@ -80,23 +80,30 @@ def qbinom(n: int, k: int, q: int) -> int:
     return out
 
 
+def _zero_diag_terms(k1: int, k2: int, r: int, q: int) -> list[int]:
+    """The inclusion-exclusion over the k1 diagonal constraints behind
+    every zero-diagonal count: entry j is the sum over i of
+    binom(k1, i) (q-1)**i (-1)**(r-j) q**(j*k2 + binom(r-j, 2))
+    qbinom(k1-i, j) qbinom(k1-j, k1-r), for j = 0..r (the q-binomials
+    vanish beyond)."""
+    terms = []
+    for j in range(r + 1):
+        ci = sum(binom(k1, i) * (q - 1) ** i * qbinom(k1 - i, j, q) for i in range(k1 - j + 1))
+        qb = qbinom(k1 - j, k1 - r, q)
+        terms.append((-1) ** (r - j) * q ** (j * k2 + binom(r - j, 2)) * qb * ci)
+    return terms
+
+
 def count_zero_diag_rank(k1: int, k2: int, r: int, q: int) -> int:
     """Number of rank-r k1 x k2 matrices over F_q with zero diagonal.
 
     Inclusion-exclusion over the diagonal constraints; the alternating
     sum is always divisible by q**k1.
     """
+    prime_power(q, BadRange)
     if not 0 <= r <= k1 <= k2:
         raise BadRange(f"need 0 <= r <= k1 <= k2, got r={r} k1={k1} k2={k2}")
-    total = 0
-    for i in range(k1 + 1):
-        ci = binom(k1, i) * (q - 1) ** i
-        for j in range(k1 + 1):
-            qb = qbinom(k1 - i, j, q) * qbinom(k1 - j, k1 - r, q)
-            if qb == 0:
-                continue
-            total += ci * (-1) ** (r - j) * q ** (j * k2 + binom(r - j, 2)) * qb
-    quot, rem = divmod(total, q**k1)
+    quot, rem = divmod(sum(_zero_diag_terms(k1, k2, r, q)), q**k1)
     if rem:
         raise AssertionError("zero-diagonal count not divisible by q**k1")
     return quot
@@ -110,6 +117,7 @@ def count_zero_diag_rank_zerocols(k1: int, k2: int, r: int, ell: int, q: int) ->
     each of the remaining ones.  Moebius inversion over column subsets
     reduces this to plain zero-diagonal counts at shrunken widths.
     """
+    prime_power(q, BadRange)
     if not 0 <= r <= k1 <= k2:
         raise BadRange(f"need 0 <= r <= k1 <= k2, got r={r} k1={k1} k2={k2}")
     w = k2 - k1
@@ -125,6 +133,7 @@ def count_zero_diag_rank_zerocols(k1: int, k2: int, r: int, ell: int, q: int) ->
 
 def zeros_of_form(r: int, k1: int, k2: int, q: int) -> int:
     """Number of zeros of any rank-r bilinear form on F_q^k1 x F_q^k2."""
+    prime_power(q, BadRange)
     if k1 < 1 or k2 < 1:
         raise BadRange("form dimensions must be >= 1")
     if not 0 <= r <= min(k1, k2):
@@ -136,40 +145,6 @@ def _gamma(j: int, q: int) -> Fraction:
     return Fraction(q**j + q - 1, q**j)
 
 
-def _expected_kernel_size(p: Params, j_limit: str) -> Fraction:
-    """Triple-sum kernel-size expectation; j_limit picks the (equivalent)
-    upper summation limit: "min", "r" or "k1".  The zero conventions in
-    qbinom make all three identical; the variants exist for tests."""
-    q, n, k1, k2 = p.q, p.n, p.k1, p.k2
-    total = Fraction(0)
-    for r in range(k1 + 1):
-        gr = _gamma(r, q) ** (n - k2)
-        for i in range(k1 + 1):
-            ci = binom(k1, i) * (q - 1) ** i
-            if ci == 0:
-                continue
-            if j_limit == "min":
-                jmax = min(r, k1 - i)
-            elif j_limit == "r":
-                jmax = r
-            else:
-                jmax = k1
-            for j in range(jmax + 1):
-                qb = qbinom(k1 - i, j, q) * qbinom(k1 - j, k1 - r, q)
-                if qb == 0:
-                    continue
-                term = (
-                    (-1) ** (r - j)
-                    * gr
-                    * _gamma(j, q) ** (k2 - k1)
-                    * ci
-                    * qb
-                    * Fraction(q) ** (j * k2 - n + binom(r - j, 2))
-                )
-                total += term
-    return total
-
-
 def expected_kernel_size(p: Params) -> Fraction:
     """Exact expected kernel size of the bilinear evaluation map.
 
@@ -178,9 +153,18 @@ def expected_kernel_size(p: Params) -> Fraction:
     G2_col; its image is the star product, so the kernel size determines
     the star dimension.  The expectation is over the systematic random
     model (identity block fixed, remaining columns uniform) and always
-    satisfies E >= 1.
+    satisfies E >= 1.  It is the triple sum
+    q**-n sum_r gamma_r**(n-k2) sum_j gamma_j**(k2-k1) terms_r[j], with
+    gamma_j = (q**j + q - 1) / q**j and terms_r the zero-diagonal
+    inclusion-exclusion of count_zero_diag_rank at rank r.
     """
-    return _expected_kernel_size(p, "min")
+    q, n, k1, k2 = p.q, p.n, p.k1, p.k2
+    total = Fraction(0)
+    for r in range(k1 + 1):
+        terms = _zero_diag_terms(k1, k2, r, q)
+        inner = sum(_gamma(j, q) ** (k2 - k1) * t for j, t in enumerate(terms))
+        total += _gamma(r, q) ** (n - k2) * inner
+    return total / q**n
 
 
 class StarDimBound(NamedTuple):
@@ -206,8 +190,9 @@ def expected_star_dim_mds(q: int, n: int, k1: int, k2: int) -> Fraction:
     """Expected star dimension of a fixed MDS [n, k1] code with a uniform
     random k2-dimensional code, in the two determined regimes.
 
-    For k2 = 1 the star dimension is min(k1, support size of the line);
-    for k2 >= n - k1 + 1 it equals the support size of the random code.
+    For k2 = 1 and for k2 >= n - k1 + 1 the star dimension is
+    min(k1 + k2 - 1, s) for a random code of support size s, so the
+    expectation is one sum over support sizes.
     In between the value depends on the particular MDS code, so
     UncoveredCase is raised.  Existence of an MDS [n, k1] code over F_q
     is assumed, not checked.
@@ -215,16 +200,11 @@ def expected_star_dim_mds(q: int, n: int, k1: int, k2: int) -> Fraction:
     prime_power(q, BadRange)
     if not (1 <= k1 <= n and 1 <= k2 <= n):
         raise BadRange(f"need 1 <= k1, k2 <= n, got k1={k1} k2={k2} n={n}")
-    if k2 == 1:
-        num = sum(binom(n, i) * (q - 1) ** i * min(k1, i) for i in range(1, n + 1))
-        return Fraction(num, q**n - 1)
-    if k2 >= n - k1 + 1:
-        total = 0
-        for s in range(k2, n + 1):
-            inner = sum(
-                (-1) ** i * qbinom(s - i, k2, q) * binom(s, s - i) for i in range(s - k2 + 1)
-            )
-            total += s * binom(n, s) * inner
+    if k2 == 1 or k2 >= n - k1 + 1:
+        total = sum(
+            min(s, k1 + k2 - 1) * binom(n, s) * count_subspaces_with_support(q, n, k2, s)
+            for s in range(n + 1)
+        )
         return Fraction(total, qbinom(n, k2, q))
     raise UncoveredCase(
         f"2 <= k2 <= n - k1 (k2={k2}, n-k1={n - k1}): expectation depends on the code"
@@ -234,6 +214,7 @@ def expected_star_dim_mds(q: int, n: int, k1: int, k2: int) -> Fraction:
 def count_subspaces_with_support(q: int, n: int, ell: int, s: int) -> int:
     """Number of ell-dim subspaces of F_q^n whose support is a fixed
     s-element coordinate set, by inclusion-exclusion over subsets."""
+    prime_power(q, BadRange)
     if not (0 <= ell <= n and 0 <= s <= n):
         raise BadRange(f"need 0 <= ell, s <= n, got ell={ell} s={s} n={n}")
     return sum((-1) ** (s - i) * binom(s, i) * qbinom(i, ell, q) for i in range(ell, s + 1))

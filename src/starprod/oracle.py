@@ -354,6 +354,8 @@ class ZeroDiagCounts:
 def count_zero_diag_oracle(k1: int, k2: int, q: int, budget=None) -> ZeroDiagCounts:
     """Enumerate every k1 x k2 matrix with zero diagonal and bucket by
     rank and by the exact set of zero columns among the last k2 - k1."""
+    if not 0 <= k1 <= k2:
+        raise BadRange(f"need 0 <= k1 <= k2, got k1={k1} k2={k2}")
     field = field_from_order(q)
     free = ~np.eye(k1, k2, dtype=bool)
     _budget(budget).charge(_index_count([q] * int(free.sum())))

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from starprod import (
     Params,
@@ -23,9 +25,9 @@ from starprod import (
     zeros_of_form,
 )
 from starprod.errors import BadRange, UncoveredCase
-from starprod.exact import _expected_kernel_size
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+SMALL_QS = (2, 3, 4, 5, 7, 8, 9)
 
 
 def test_params_normalisation_and_validation():
@@ -86,6 +88,18 @@ def test_count_zero_diag_rank_examples():
         count_zero_diag_rank(3, 2, 1, 2)
     with pytest.raises(BadRange):
         count_zero_diag_rank(2, 2, 3, 2)
+
+
+@pytest.mark.parametrize("q", [0, 1, 6])
+def test_count_primitives_reject_non_prime_power_q(q):
+    for call in (
+        lambda: count_zero_diag_rank(2, 3, 1, q),
+        lambda: count_zero_diag_rank_zerocols(2, 3, 1, 0, q),
+        lambda: zeros_of_form(1, 2, 3, q),
+        lambda: count_subspaces_with_support(q, 3, 1, 2),
+    ):
+        with pytest.raises(BadRange):
+            call()
 
 
 def test_count_zero_diag_rank_checksum():
@@ -167,13 +181,59 @@ def test_expected_kernel_size_basics():
                     assert expected_kernel_size(Params(q, n, k1, k2)) >= 1
 
 
-def test_kernel_sum_limit_conventions_agree():
-    for q in (2, 3, 5):
-        for n in (4, 6):
-            for k1, k2 in [(1, 2), (2, 2), (2, 3), (3, 3)]:
-                p = Params(q, n, k1, k2)
-                vals = {_expected_kernel_size(p, mode) for mode in ("min", "r", "k1")}
-                assert len(vals) == 1
+def _gamma(j, q):
+    return Fraction(q**j + q - 1, q**j)
+
+
+def _kernel_triple_sum(p):
+    # the paper's triple sum over r, i and j <= min(r, k1 - i), term by term
+    q, n, k1, k2 = p.q, p.n, p.k1, p.k2
+    total = Fraction(0)
+    for r in range(k1 + 1):
+        for i in range(k1 + 1):
+            for j in range(min(r, k1 - i) + 1):
+                total += (
+                    (-1) ** (r - j)
+                    * _gamma(r, q) ** (n - k2)
+                    * _gamma(j, q) ** (k2 - k1)
+                    * binom(k1, i)
+                    * (q - 1) ** i
+                    * qbinom(k1 - i, j, q)
+                    * qbinom(k1 - j, k1 - r, q)
+                    * Fraction(q) ** (j * k2 - n + binom(r - j, 2))
+                )
+    return total
+
+
+def test_expected_kernel_size_equals_triple_sum():
+    for q in SMALL_QS:
+        for n in range(1, 13):
+            for k1 in range(1, min(n, 4) + 1):
+                for k2 in range(k1, min(n, 6) + 1):
+                    p = Params(q, n, k1, k2)
+                    assert expected_kernel_size(p) == _kernel_triple_sum(p), (q, n, k1, k2)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(q=st.sampled_from(SMALL_QS), n=st.integers(1, 13), data=st.data())
+def test_expected_kernel_size_by_zero_column_patterns(q, n, data):
+    # first principles: B lies in the kernel of a systematic pair iff its
+    # diagonal vanishes (the k1 identity coordinates), a.T B e_c = 0 at the
+    # k2 - k1 coordinates where only G1's column a is random (probability
+    # 1/q unless column c of B is zero), and a.T B b = 0 at the n - k2
+    # coordinates where both columns are random (gamma_r / q at rank r)
+    k1 = data.draw(st.integers(1, n))
+    k2 = data.draw(st.integers(k1, n))
+    w = k2 - k1
+    want = sum(
+        binom(w, ell)
+        * count_zero_diag_rank_zerocols(k1, k2, r, ell, q)
+        * Fraction(q) ** (ell - w)
+        * (_gamma(r, q) / q) ** (n - k2)
+        for r in range(k1 + 1)
+        for ell in range(w + 1)
+    )
+    assert expected_kernel_size(Params(q, n, k1, k2)) == want
 
 
 def test_star_dim_lower_bound_published_values():
@@ -194,6 +254,30 @@ def test_expected_star_dim_mds_examples():
         expected_star_dim_mds(7, 6, 3, 2)
     with pytest.raises(BadRange):
         expected_star_dim_mds(2, 3, 4, 1)
+
+
+def _mds_line_formula(q, n, k1):
+    return Fraction(sum(binom(n, i) * (q - 1) ** i * min(k1, i) for i in range(1, n + 1)), q**n - 1)
+
+
+def _mds_high_dim_formula(q, n, k2):
+    total = 0
+    for s in range(k2, n + 1):
+        inner = sum((-1) ** i * qbinom(s - i, k2, q) * binom(s, s - i) for i in range(s - k2 + 1))
+        total += s * binom(n, s) * inner
+    return Fraction(total, qbinom(n, k2, q))
+
+
+def test_expected_star_dim_mds_matches_regime_formulas():
+    checked = 0
+    for q in SMALL_QS:
+        for n in range(1, 10):
+            for k1 in range(1, n + 1):
+                assert expected_star_dim_mds(q, n, k1, 1) == _mds_line_formula(q, n, k1)
+                for k2 in range(max(2, n - k1 + 1), n + 1):
+                    assert expected_star_dim_mds(q, n, k1, k2) == _mds_high_dim_formula(q, n, k2)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_count_subspaces_with_support_examples():

@@ -156,6 +156,13 @@ def test_count_zero_diag_oracle_examples():
     assert sum(c23.by_rank.values()) == 2 ** (6 - 2)
 
 
+def test_count_zero_diag_oracle_rejects_k1_above_k2():
+    # the same shape rule as count_zero_diag_rank
+    for k1, k2 in [(3, 2), (2, 1)]:
+        with pytest.raises(BadRange):
+            count_zero_diag_oracle(k1, k2, 2)
+
+
 def test_count_zero_diag_oracle_matches_formulas():
     for q in (2, 3):
         for k1 in range(1, 4):
