@@ -18,6 +18,7 @@ from typing import Optional
 from .codes import (
     DEFAULT_DISTANCE_BUDGET,
     LinearCode,
+    _dual_distance,
     dual,
     intersection_dim,
     is_subcode,
@@ -155,7 +156,7 @@ def csst_envelope(
         feasible = feasible and inside
         if c2.k < c2.n:
             try:
-                distance_floor = min_distance(dual(c2), budget)
+                distance_floor = _dual_distance(c2, budget)
             except BudgetExceeded:
                 distance_floor = None
     return CsstReport(feasible, envelope_dim, distance_floor)

@@ -10,7 +10,10 @@ is exposed as such.
 Operations (star product, dual, distance, projections, the deterministic
 star-dimension lower bounds) are pure functions of their inputs.  Minimum
 distance is found by codeword enumeration for low-rate codes and by ranks
-of column subsets for high-rate ones, star products among them.
+of column subsets for high-rate ones, star products among them.  The dual
+distance behind the lower bound and the CSS-T distance floor comes from
+column-subset ranks of the code's own basis, with no dual basis built
+unless enumerating the dual is cheaper.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ def code_from_matrix(m: Mat) -> LinearCode:
     k = len(pivots)
     if k == 0:
         raise ZeroCode("matrix spans the zero subspace")
-    return LinearCode(m.field, Mat(m.field, red.data[:k]), pivots)
+    return LinearCode(m.field, Mat._trusted(m.field, red.data[:k]), pivots)
 
 
 def _check_pair(c1: LinearCode, c2: LinearCode) -> None:
@@ -125,37 +128,51 @@ def _min_weights(field: FieldSpec, bases: np.ndarray, budget: int) -> np.ndarray
     if q**k > budget:
         raise BudgetExceeded(f"codeword enumeration q**k = {q}**{k} exceeds budget {budget}")
     enumerated = n * (q**k - 1) // (q - 1)
-    subsets = itertools.accumulate(math.comb(n, t) * k * k * (n - t) for t in range(1, n - k + 1))
+    subsets = itertools.accumulate(_level_cells(n, k, n - t) for t in range(1, n - k + 1))
     if all(cells < enumerated for cells in subsets):
         return _subset_min_weights(field, bases)
     return _enumerated_min_weights(field, bases)
+
+
+def _level_cells(n: int, k: int, size: int) -> int:
+    """Estimated cells of ranking every size-column subset of a k x n basis."""
+    return math.comb(n, size) * k * size * min(k, size)
+
+
+def _deficient_level(field: FieldSpec, bases: np.ndarray, levels: list) -> np.ndarray:
+    """For each basis of a (P, k, n) stack, the first level t (from 1)
+    whose (size, target) = levels[t - 1] has some size-column subset of
+    rank below target, or len(levels) + 1 where none has.
+
+    Each level ranks the still-open bases restricted to every size-subset,
+    about _BLOCK_CELLS cells per `rank_many` call; a basis closes at the
+    first deficient rank.
+    """
+    count, k, n = bases.shape
+    best = np.full(count, len(levels) + 1, dtype=np.int64)
+    live = np.arange(count)
+    for t, (size, target) in enumerate(levels, 1):
+        subsets = itertools.combinations(range(n), size)
+        while live.size:
+            block = np.array(list(itertools.islice(subsets, max(1, _BLOCK_CELLS // (live.size * k * size)))))
+            if not block.size:
+                break
+            sub = bases[live][:, :, block].transpose(0, 2, 1, 3).reshape(-1, k, size)
+            closed = (rank_many(field, sub) < target).reshape(live.size, -1).any(axis=1)
+            best[live[closed]] = t
+            live = live[~closed]
+    return best
 
 
 def _subset_min_weights(field: FieldSpec, bases: np.ndarray) -> np.ndarray:
     """Minimum weights of a (P, k, n) stack of full-rank bases by column
     subsets: a nonzero codeword vanishes on S iff rank G_S < k
     (MacWilliams-Sloane, ch. 1), so d = min{t : rank G_S < k for some S
-    of n - t columns}.
-
-    Levels t = 1, 2, ..., n - k rank the still-open bases restricted to
-    every (n - t)-subset, about _BLOCK_CELLS cells per `rank_many` call; a
-    basis closes at the first deficient rank.  A basis open after n - k is
-    MDS, d = n - k + 1.
+    of n - t columns}.  Levels t = 1, ..., n - k; a basis open after them
+    is MDS, d = n - k + 1.
     """
-    count, k, n = bases.shape
-    best = np.full(count, n - k + 1, dtype=np.int64)
-    live = np.arange(count)
-    for t in range(1, n - k + 1):
-        subsets = itertools.combinations(range(n), n - t)
-        while live.size:
-            block = np.array(list(itertools.islice(subsets, max(1, _BLOCK_CELLS // (live.size * k * (n - t))))))
-            if not block.size:
-                break
-            sub = bases[live][:, :, block].transpose(0, 2, 1, 3).reshape(-1, k, n - t)
-            closed = (rank_many(field, sub) < k).reshape(live.size, -1).any(axis=1)
-            best[live[closed]] = t
-            live = live[~closed]
-    return best
+    _, k, n = bases.shape
+    return _deficient_level(field, bases, [(n - t, k) for t in range(1, n - k + 1)])
 
 
 def _enumerated_min_weights(field: FieldSpec, bases: np.ndarray) -> np.ndarray:
@@ -196,6 +213,33 @@ def min_distance(c: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> int:
     for high-rate codes, by codeword enumeration otherwise (_min_weights).
     Raises BudgetExceeded when q**k > budget."""
     return int(_min_weights(c.field, c.basis.data[None], budget)[0])
+
+
+def _dual_distance(c: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> int:
+    """Minimum distance of the dual, min_distance(dual(c)), read off the
+    columns of c's basis G.
+
+    A nonzero word of the dual is supported inside S iff the columns of G
+    on S are dependent (MacWilliams-Sloane, ch. 1), so d(dual) is the
+    least t with some t columns of rank below t, and k + 1 when no t <= k
+    has one.  Levels t = 1, 2, ... run while their summed cells stay below
+    enumerating the dual's q**(n-k) codewords, n (q**(n-k) - 1) / (q - 1);
+    a code still open after them enumerates a kernel basis of G.
+    Raises ZeroDual when k = n and BudgetExceeded when q**(n-k) > budget,
+    as min_distance(dual(c)) does.
+    """
+    if c.k == c.n:
+        raise ZeroDual("the full space has zero dual")
+    q, n, k = c.field.q, c.n, c.k
+    if q ** (n - k) > budget:
+        raise BudgetExceeded(f"codeword enumeration q**k = {q}**{n - k} exceeds budget {budget}")
+    enumerated = n * (q ** (n - k) - 1) // (q - 1)
+    spent = itertools.accumulate(_level_cells(n, k, t) for t in range(1, k + 1))
+    last = sum(1 for _ in itertools.takewhile(lambda cells: cells < enumerated, spent))
+    d = int(_deficient_level(c.field, c.basis.data[None], [(t, t) for t in range(1, last + 1)])[0])
+    if last < k and d > last:
+        d = int(_enumerated_min_weights(c.field, right_kernel_basis(c.basis).data[None])[0])
+    return d
 
 
 def support(c: LinearCode) -> frozenset:
@@ -249,8 +293,8 @@ def star_lower_bound_dual_distance(
     """
     _check_pair(c1, c2)
     _require_nondegenerate(c1, c2)
-    d1 = min_distance(dual(c1), budget)
-    d2 = min_distance(dual(c2), budget)
+    d1 = _dual_distance(c1, budget)
+    d2 = _dual_distance(c2, budget)
     return min(c1.n, c1.k + d2 - 2, c2.k + d1 - 2)
 
 

@@ -70,7 +70,14 @@ def qbinom(n: int, k: int, q: int) -> int:
     """Gaussian binomial: the number of k-dim subspaces of F_q^n.
 
     Zero when k > n or any argument is negative; 1 on empty products.
+    Raises BadRange when q is not a prime power.
     """
+    prime_power(q, BadRange)
+    return _qbinom(n, k, q)
+
+
+def _qbinom(n: int, k: int, q: int) -> int:
+    """qbinom without the check on q, for the sums that have made it."""
     if n < 0 or k < 0 or k > n:
         return 0
     k = min(k, n - k)
@@ -88,8 +95,8 @@ def _zero_diag_terms(k1: int, k2: int, r: int, q: int) -> list[int]:
     vanish beyond)."""
     terms = []
     for j in range(r + 1):
-        ci = sum(binom(k1, i) * (q - 1) ** i * qbinom(k1 - i, j, q) for i in range(k1 - j + 1))
-        qb = qbinom(k1 - j, k1 - r, q)
+        ci = sum(binom(k1, i) * (q - 1) ** i * _qbinom(k1 - i, j, q) for i in range(k1 - j + 1))
+        qb = _qbinom(k1 - j, k1 - r, q)
         terms.append((-1) ** (r - j) * q ** (j * k2 + binom(r - j, 2)) * qb * ci)
     return terms
 
@@ -205,7 +212,7 @@ def expected_star_dim_mds(q: int, n: int, k1: int, k2: int) -> Fraction:
             min(s, k1 + k2 - 1) * binom(n, s) * count_subspaces_with_support(q, n, k2, s)
             for s in range(n + 1)
         )
-        return Fraction(total, qbinom(n, k2, q))
+        return Fraction(total, _qbinom(n, k2, q))
     raise UncoveredCase(
         f"2 <= k2 <= n - k1 (k2={k2}, n-k1={n - k1}): expectation depends on the code"
     )
@@ -217,7 +224,7 @@ def count_subspaces_with_support(q: int, n: int, ell: int, s: int) -> int:
     prime_power(q, BadRange)
     if not (0 <= ell <= n and 0 <= s <= n):
         raise BadRange(f"need 0 <= ell, s <= n, got ell={ell} s={s} n={n}")
-    return sum((-1) ** (s - i) * binom(s, i) * qbinom(i, ell, q) for i in range(ell, s + 1))
+    return sum((-1) ** (s - i) * binom(s, i) * _qbinom(i, ell, q) for i in range(ell, s + 1))
 
 
 def expected_intersection_dim(p: Params) -> Fraction:
@@ -229,12 +236,12 @@ def expected_intersection_dim(p: Params) -> Fraction:
     for i in range(1, k1 + 1):
         num += (
             i
-            * qbinom(n, i, q)
-            * qbinom(n - i, k1 - i, q)
+            * _qbinom(n, i, q)
+            * _qbinom(n - i, k1 - i, q)
             * q ** ((k1 - i) * (k2 - i))
-            * qbinom(n - k1, k2 - i, q)
+            * _qbinom(n - k1, k2 - i, q)
         )
-    return Fraction(num, qbinom(n, k1, q) * qbinom(n, k2, q))
+    return Fraction(num, _qbinom(n, k1, q) * _qbinom(n, k2, q))
 
 
 def kernel_limit_value(p: Params) -> Fraction:

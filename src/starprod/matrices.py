@@ -46,6 +46,17 @@ class Mat:
         self.field = field
         self.data = arr
 
+    @classmethod
+    def _trusted(cls, field: FieldSpec, data: np.ndarray) -> "Mat":
+        """A Mat over an array the package built: 2-D int64 with entries in
+        [0, q) and sides within MAX_SIDE, taken as is (no copy, no checks)
+        and made read-only."""
+        self = object.__new__(cls)
+        data.flags.writeable = False
+        self.field = field
+        self.data = data
+        return self
+
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -121,8 +132,14 @@ def rref(m: Mat) -> tuple:
 
     Returns (R, pivots) where R is the unique RREF of m and pivots is a
     strictly increasing tuple of column indices; rank = len(pivots).
+
+    Each pivot scales its row by one inverse-table lookup and clears its
+    column in every other row with one outer product.  Over prime fields
+    the scaled row and the product stay unreduced (below q**3 <= 2**48)
+    until one ``% q`` of the whole matrix per pivot.
     """
     f = m.field
+    prime = f.m == 1
     a = m.data.copy()
     nr, nc = a.shape
     pivots = []
@@ -130,23 +147,27 @@ def rref(m: Mat) -> tuple:
     for c in range(nc):
         if r == nr:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         p = r + int(nz[0])
         if p != r:
             a[[r, p]] = a[[p, r]]
-        piv = int(a[r, c])
+        row = a[r]
+        piv = int(row[c])
         if piv != 1:
-            a[r] = f.mul(a[r], int(f.inv(piv)))
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            fac = a[others, c]
-            a[others] = f.sub(a[others], f.mul(fac[:, None], a[r][None, :]))
+            row = row * int(f._inv[piv]) if prime else f.mul(row, int(f._inv[piv]))
+        col = a[:, c].copy()
+        col[r] = 0
+        a[r] = row
+        if prime:
+            a -= col[:, None] * row
+            a %= f.q
+        else:
+            a = f.sub(a, f.mul(col[:, None], row[None, :]))
         pivots.append(c)
         r += 1
-    return Mat(f, a), tuple(pivots)
+    return Mat._trusted(f, a), tuple(pivots)
 
 
 def _rref_cells(pivots: np.ndarray, k: int) -> tuple:
@@ -173,7 +194,7 @@ def right_kernel_basis(m: Mat) -> Mat:
     out = np.zeros((len(free), m.cols), dtype=np.int64)
     out[np.arange(len(free)), free] = 1
     out[:, list(pivots)] = f.neg(red.data[: len(pivots), free].T)
-    return Mat(f, out)
+    return Mat._trusted(f, out)
 
 
 def rank_many(field: FieldSpec, mats: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from ._tally import dim_histogram, meet_dims, resolve_threads, star_dims
 from .codes import LinearCode, code_from_matrix
 from .errors import BadRange
-from .exact import Params, RandomModel, qbinom, star_dim_lower_bound
+from .exact import Params, RandomModel, _qbinom, star_dim_lower_bound
 from .fields import FieldSpec, _mod, field_from_order
 from .matrices import Mat, _rref_cells
 
@@ -84,7 +84,7 @@ def _pivot_thresholds(q: int, n: int, k: int) -> np.ndarray:
     t = np.zeros((n + 1, k + 1), dtype=np.uint64)
     for m in range(1, n + 1):
         for r in range(1, min(k, m - 1) + 1):
-            t[m, r] = (q ** (m - r) * qbinom(m - 1, r - 1, q) << 64) // qbinom(m, r, q)
+            t[m, r] = (q ** (m - r) * _qbinom(m - 1, r - 1, q) << 64) // _qbinom(m, r, q)
     return t
 
 

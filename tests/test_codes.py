@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from starprod import (
     Mat,
     code_from_matrix,
+    csst_envelope,
     dual,
     field_make,
     intersection_dim,
@@ -23,7 +24,7 @@ from starprod import (
     star_product,
     support,
 )
-from starprod import codes
+from starprod import apps, codes, matrices
 from starprod.catalog import evaluation_code, full_space, hamming_7_4, mds63_gf7_codes, repetition_code, single_coordinate_code
 from starprod.errors import (
     BudgetExceeded,
@@ -330,6 +331,167 @@ def test_min_distance_budget_edge():
         assert min_distance(code, budget=q**k) == d
         with pytest.raises(BudgetExceeded, match=re.escape(f"q**k = {q}**{k} exceeds budget {q**k - 1}")):
             min_distance(code, budget=q**k - 1)
+
+
+def _dual_cases(field, n, k, rng):
+    """Full-rank k x n bases (k < n): two random ones, one whose column 1
+    is a nonzero multiple of column 0 (dual distance at most 2), one with a
+    zero column (dual distance 1) and an MDS one (dual distance k + 1)
+    where one is at hand."""
+    out = list(_full_rank_bases(field, n, k, 2, rng))
+    for zero in (False, True):
+        while True:
+            m = _full_rank_bases(field, n, k, 1, rng)[0]
+            if zero:
+                m[:, rng.integers(n)] = 0
+            else:
+                m[:, 1] = field.mul(int(rng.integers(1, field.q)), m[:, 0])
+            if rank(Mat(field, m)) == k:
+                out.append(m)
+                break
+    mds = _mds_basis(field, n, k)
+    if mds is not None:
+        out.append(mds)
+    return out
+
+
+def _check_dual_distance(field, n, k, rng):
+    """_dual_distance, the full level search and min_distance(dual) equal
+    brute force over the dual's codewords."""
+    want = []
+    for basis in _dual_cases(field, n, k, rng):
+        c = code_from_matrix(Mat(field, basis))
+        d = _brute_min_weights(field, dual(c).basis.data[None])[0]
+        levels = [(t, t) for t in range(1, k + 1)]
+        assert codes._dual_distance(c) == min_distance(dual(c)) == d, (field.q, n, k, basis)
+        assert codes._deficient_level(field, c.basis.data[None], levels).tolist() == [d], (field.q, n, k)
+        want.append(d)
+    assert want[2] <= 2 and want[3] == 1, (field.q, n, k)
+    if _mds_basis(field, n, k) is not None:
+        assert want[4] == k + 1, (field.q, n, k)
+
+
+def test_dual_distance_equals_brute_force_on_criterion_9_shapes():
+    rng = np.random.default_rng(21)
+    for q in (2, 3, 5):
+        f = field_make(q)
+        for n in range(2, 9):
+            for k in range(1, n):
+                _check_dual_distance(f, n, k, rng)
+            with pytest.raises(ZeroDual):
+                codes._dual_distance(full_space(f, n))
+
+
+def test_dual_distance_equals_brute_force_over_extension_fields():
+    rng = np.random.default_rng(22)
+    shapes = {4: [(1, 5), (2, 5), (3, 6), (5, 7)], 8: [(1, 4), (3, 6), (4, 5)], 9: [(2, 5), (3, 6), (4, 5)]}
+    for q, ks in shapes.items():
+        f = field_make(*_pm(q))
+        for k, n in ks:
+            _check_dual_distance(f, n, k, rng)
+
+
+@st.composite
+def dual_distance_codes(draw):
+    """(q, n, k, kind, seed) of a drawn [n, k] code, k < n, whose dual has
+    at most 8192 words; kind adds a repeated or a zero column."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(max(1, n - int(math.log(8192, q) + 1e-9)), n - 1))
+    kind = draw(st.sampled_from(("plain", "repeated", "zero")))
+    return q, n, k, kind, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(dual_distance_codes())
+def test_dual_distance_equals_brute_force_property(shape):
+    q, n, k, kind, seed = shape
+    f = field_make(*_pm(q))
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, q, size=(k, n), dtype=np.int64)
+    m[0, 0] = 1  # a nonzero matrix
+    if kind == "repeated":
+        m[:, -1] = m[:, 0]
+    elif kind == "zero":
+        m[:, -1] = 0
+    c = code_from_matrix(Mat(f, m))
+    if c.k == n:
+        return
+    want = _brute_min_weights(f, dual(c).basis.data[None])[0]
+    assert codes._dual_distance(c) == min_distance(dual(c)) == want
+
+
+def test_dual_distance_picks_route_by_cell_count(monkeypatch):
+    f2 = field_make(2)
+
+    def refuse(*args):
+        raise AssertionError("route not expected here")
+
+    h = hamming_7_4()
+    even = code_from_matrix(Mat(f2, np.hstack([np.eye(39, dtype=np.int64), np.ones((39, 1), dtype=np.int64)])))
+    # [7, 3] over GF(7): all three levels (1,218 cells) cost less than
+    # enumerating the [7, 4] dual (2,800), so the search ends open at k + 1
+    monkeypatch.setattr(codes, "_enumerated_min_weights", refuse)
+    assert codes._dual_distance(grs_code(7, 7, 3)) == 4
+    monkeypatch.undo()
+    # [7, 4] Hamming: level 1 (28 cells) fits under the dual's 49, level 2
+    # (364 in all) does not, so after level 1 a kernel basis of the [7, 3]
+    # simplex dual is enumerated, without dual()'s canonical form
+    monkeypatch.setattr(codes, "dual", refuse)
+    assert codes._dual_distance(h) == 4
+    # [40, 39] even-weight code: level 1 alone (1,560 cells) costs more than
+    # the dual's 40, so nothing is ranked
+    monkeypatch.setattr(codes, "rank_many", refuse)
+    assert codes._dual_distance(even) == 40
+
+
+def test_dual_distance_bound_and_floor_build_no_dual(monkeypatch):
+    f2 = field_make(2)
+    rng = np.random.default_rng(23)
+    pairs = [(grs_code(7, 7, 2), grs_code(7, 7, 3))]
+    for n, k1, k2 in ((10, 3, 3), (13, 3, 4)):
+        while True:
+            c1, c2 = (random_code(f2, n, k, rng) for k in (k1, k2))
+            # a repeated column keeps [13, 4] inside its two affordable levels
+            c2 = code_from_matrix(Mat(f2, np.hstack([c2.basis.data[:, :-1], c2.basis.data[:, :1]])))
+            if (c1.k, c2.k) == (k1, k2) and not (is_degenerate(c1) or is_degenerate(c2)):
+                pairs.append((c1, c2))
+                break
+    zero_col = code_from_matrix(Mat(f2, [[1, 1, 0, 1, 0], [0, 1, 1, 1, 0]]))
+    want_bounds = [
+        min(c1.n, c1.k + min_distance(dual(c2)) - 2, c2.k + min_distance(dual(c1)) - 2) for c1, c2 in pairs
+    ]
+    want_floors = [min_distance(dual(c2)) for _, c2 in pairs[1:]]
+
+    def refuse(*args):
+        raise AssertionError("no dual basis expected here")
+
+    for module, name in (
+        (codes, "dual"),
+        (apps, "dual"),
+        (codes, "right_kernel_basis"),
+        (matrices, "right_kernel_basis"),
+        (codes, "_enumerated_min_weights"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert [star_lower_bound_dual_distance(c1, c2) for c1, c2 in pairs] == want_bounds
+    # c1 = F_2^n squares to the full space, so the envelope needs no dual either
+    floors = [csst_envelope(full_space(f2, c2.n), c2).distance_floor for _, c2 in pairs[1:]]
+    assert floors == want_floors
+    assert csst_envelope(full_space(f2, 5), zero_col).distance_floor == 1
+
+
+def test_dual_distance_budget_edge():
+    # the column levels alone (GRS over GF(7)) and the dual enumeration (Hamming)
+    h = hamming_7_4()
+    for c, bound in ((grs_code(7, 7, 3), 5), (h, 6)):
+        q, r = c.field.q, c.n - c.k
+        assert star_lower_bound_dual_distance(c, c, budget=q**r) == bound
+        with pytest.raises(BudgetExceeded, match=re.escape(f"q**k = {q}**{r} exceeds budget {q**r - 1}")):
+            star_lower_bound_dual_distance(c, c, budget=q**r - 1)
+    f2 = field_make(2)
+    assert csst_envelope(full_space(f2, 7), h, budget=8).distance_floor == 4
+    assert csst_envelope(full_space(f2, 7), h, budget=7).distance_floor is None
 
 
 def test_singleton_bound_random():

@@ -61,6 +61,13 @@ def test_qbinom_examples():
     assert qbinom(6, 3, 7) == 4 * 12044300
 
 
+@pytest.mark.parametrize("q", [1, 0, 6])
+def test_qbinom_rejects_non_prime_power_order(q):
+    # once a ZeroDivisionError at q = 1, and 1 at q = 0 and 43 at q = 6
+    with pytest.raises(BadRange):
+        qbinom(3, 1, q)
+
+
 def test_qbinom_symmetry():
     for q in (2, 3, 4, 5):
         for n in range(8):

@@ -38,6 +38,58 @@ def test_rref_idempotent_random():
             assert red2 == red and piv2 == piv
 
 
+def _gauss_jordan(f, rows, ncols):
+    """Reference RREF: pivots (first nonzero scanning down), row scaling
+    and elimination one scalar at a time on lists of ints."""
+    mul, sub = (lambda x, y: int(f.mul(x, y))), (lambda x, y: int(f.sub(x, y)))
+    a = [[int(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        scale = int(f.inv(a[r][c]))
+        a[r] = [mul(scale, x) for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                fac = a[i][c]
+                a[i] = [sub(x, mul(fac, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, tuple(pivots)
+
+
+@st.composite
+def rref_inputs(draw):
+    """(field, matrix) over prime fields and GF(4), GF(8), GF(9): rows or
+    cols may be 0; dense, sparse, all-zero, or rank deficient through a
+    repeated row or a row proportional to the first."""
+    q = draw(st.sampled_from((2, 3, 5, 7, 251, 4, 8, 9)))
+    f = field_make(*_pm(q))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(("dense", "sparse", "zero", "repeated", "proportional")))
+    entries = st.just(0) if kind == "zero" else st.integers(0, q - 1)
+    fill = st.just(0) if kind in ("sparse", "zero") else entries
+    a = draw(arrays(np.int64, (rows, cols), elements=entries, fill=fill))
+    if rows >= 2 and kind in ("repeated", "proportional"):
+        i = draw(st.integers(1, rows - 1))
+        scale = draw(st.integers(0, q - 1)) if kind == "proportional" else 1
+        a[i] = f.mul(scale, a[0])
+    return f, a
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rref_inputs())
+def test_rref_equals_gauss_jordan_property(case):
+    f, a = case
+    red, pivots = rref(Mat(f, a))
+    want, want_pivots = _gauss_jordan(f, a, a.shape[1])
+    assert red.data.dtype == np.int64 and not red.data.flags.writeable
+    assert red.shape == a.shape
+    assert red.data.tolist() == want and pivots == want_pivots
+
+
 def test_rank_equals_rank_of_transpose():
     rng = np.random.default_rng(2)
     for q in (2, 3, 4, 7):
@@ -69,6 +121,7 @@ def test_rank_nullity_random():
         for _ in range(25):
             m = Mat(f, rng.integers(0, q, size=rng.integers(1, 6, size=2)))
             ker = right_kernel_basis(m)
+            assert ker.data.dtype == np.int64 and not ker.data.flags.writeable
             assert ker.rows + rank(m) == m.cols
             if ker.rows:
                 assert not mat_mul(m, ker.transpose()).data.any()
