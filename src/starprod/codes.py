@@ -8,12 +8,14 @@ coordinates the basis is literally a systematic generator [I_k | A] and
 is exposed as such.
 
 Operations (star product, dual, distance, projections, the deterministic
-star-dimension lower bounds) are pure functions of their inputs.  Minimum
-distance is found by codeword enumeration for low-rate codes and by ranks
-of column subsets for high-rate ones, star products among them.  The dual
-distance behind the lower bound and the CSS-T distance floor comes from
-column-subset ranks of the code's own basis, with no dual basis built
-unless enumerating the dual is cheaper.
+star-dimension lower bounds) are pure functions of their inputs.  Every
+minimum distance is the least weight of a kernel: d(C) of the kernel of
+a check matrix H, read off the RREF basis G, and d(C-dual), behind the
+lower bound and the CSS-T distance floor, of the kernel of G.  One rule
+computes it: the column girth of the matrix, t-column subsets ranked
+level by level while their summed cost stays below enumerating the
+kernel, and the kernel enumerated for a matrix still open after those
+levels.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     ZeroDual,
 )
 from .fields import FieldSpec
-from .matrices import Mat, _combine, rank, rank_many, rref, right_kernel_basis, stack
+from .matrices import Mat, _combine, _kernel_basis, rank, rank_many, rref, stack
 
 DEFAULT_DISTANCE_BUDGET = 2**24
 _BLOCK_CELLS = 1 << 20
@@ -109,70 +111,67 @@ def dual(c: LinearCode) -> LinearCode:
     """The orthogonal complement under the standard bilinear form."""
     if c.k == c.n:
         raise ZeroDual("the full space has zero dual")
-    return code_from_matrix(right_kernel_basis(c.basis))
+    return code_from_matrix(Mat._trusted(c.field, _kernel_basis(c.field, c.basis.data, c.pivots)))
 
 
-def _min_weights(field: FieldSpec, bases: np.ndarray, budget: int) -> np.ndarray:
-    """Minimum Hamming weights of the nonzero spans of a (P, k, n) stack
-    of full-rank bases, as a length-P int64 array.
+def _level_cells(n: int, r: int, t: int) -> int:
+    """Estimated cells of ranking every t-column subset of an r x n matrix."""
+    return math.comb(n, t) * r * t * min(r, t)
 
-    The budget is charged q**k, the size of the span, whichever route
-    runs.  The route is the cheaper, in estimated cells per basis, of
-    codeword enumeration, n (q**k - 1) / (q - 1), and column-subset ranks,
-    the sum over t = 1..n-k of C(n, t) k**2 (n - t); high-rate codes take
-    the subsets, whose cost does not depend on q.  The subset count is
-    below n q**k, so the budget bounds it too.
+
+def _girth(field: FieldSpec, mats: np.ndarray, levels: int) -> np.ndarray:
+    """For each matrix of a (P, r, n) stack, the least t <= levels such
+    that some t of its columns have rank below t, or levels + 1 where no
+    such t exists.
+
+    Each level ranks the still-open matrices restricted to every t-subset,
+    about _BLOCK_CELLS cells per `rank_many` call; a matrix closes at the
+    first dependent subset.
     """
-    count, k, n = bases.shape
-    q = field.q
-    if q**k > budget:
-        raise BudgetExceeded(f"codeword enumeration q**k = {q}**{k} exceeds budget {budget}")
-    enumerated = n * (q**k - 1) // (q - 1)
-    subsets = itertools.accumulate(_level_cells(n, k, n - t) for t in range(1, n - k + 1))
-    if all(cells < enumerated for cells in subsets):
-        return _subset_min_weights(field, bases)
-    return _enumerated_min_weights(field, bases)
-
-
-def _level_cells(n: int, k: int, size: int) -> int:
-    """Estimated cells of ranking every size-column subset of a k x n basis."""
-    return math.comb(n, size) * k * size * min(k, size)
-
-
-def _deficient_level(field: FieldSpec, bases: np.ndarray, levels: list) -> np.ndarray:
-    """For each basis of a (P, k, n) stack, the first level t (from 1)
-    whose (size, target) = levels[t - 1] has some size-column subset of
-    rank below target, or len(levels) + 1 where none has.
-
-    Each level ranks the still-open bases restricted to every size-subset,
-    about _BLOCK_CELLS cells per `rank_many` call; a basis closes at the
-    first deficient rank.
-    """
-    count, k, n = bases.shape
-    best = np.full(count, len(levels) + 1, dtype=np.int64)
+    count, r, n = mats.shape
+    best = np.full(count, levels + 1, dtype=np.int64)
     live = np.arange(count)
-    for t, (size, target) in enumerate(levels, 1):
-        subsets = itertools.combinations(range(n), size)
+    for t in range(1, levels + 1):
+        subsets = itertools.combinations(range(n), t)
         while live.size:
-            block = np.array(list(itertools.islice(subsets, max(1, _BLOCK_CELLS // (live.size * k * size)))))
+            block = np.array(list(itertools.islice(subsets, max(1, _BLOCK_CELLS // (live.size * r * t)))))
             if not block.size:
                 break
-            sub = bases[live][:, :, block].transpose(0, 2, 1, 3).reshape(-1, k, size)
-            closed = (rank_many(field, sub) < target).reshape(live.size, -1).any(axis=1)
+            sub = mats[live][:, :, block].transpose(0, 2, 1, 3).reshape(-1, r, t)
+            closed = (rank_many(field, sub) < t).reshape(live.size, -1).any(axis=1)
             best[live[closed]] = t
             live = live[~closed]
     return best
 
 
-def _subset_min_weights(field: FieldSpec, bases: np.ndarray) -> np.ndarray:
-    """Minimum weights of a (P, k, n) stack of full-rank bases by column
-    subsets: a nonzero codeword vanishes on S iff rank G_S < k
-    (MacWilliams-Sloane, ch. 1), so d = min{t : rank G_S < k for some S
-    of n - t columns}.  Levels t = 1, ..., n - k; a basis open after them
-    is MDS, d = n - k + 1.
+def _kernel_min_weights(field: FieldSpec, mats: np.ndarray, kernel, budget: int) -> np.ndarray:
+    """Minimum Hamming weights of the nonzero kernels {x : M x^T = 0} of a
+    (P, r, n) stack of full-rank matrices M, r < n, as a length-P int64
+    array; kernel(idx) returns the (len(idx), n - r, n) kernel bases of
+    mats[idx].
+
+    A nonzero kernel word is supported inside S iff the columns of M on S
+    are dependent (MacWilliams-Sloane, ch. 1), so its least weight is the
+    girth of M's columns, at most r + 1.  The budget is charged q**(n-r),
+    the size of the kernel, first.  Levels t = 1, 2, ... of _girth run
+    while their summed cells stay below enumerating the kernel,
+    n (q**(n-r) - 1) / (q - 1); a matrix still open after a partial run
+    has its kernel enumerated, and one open after all r levels has weight
+    r + 1.
     """
-    _, k, n = bases.shape
-    return _deficient_level(field, bases, [(n - t, k) for t in range(1, n - k + 1)])
+    _, r, n = mats.shape
+    q = field.q
+    if q ** (n - r) > budget:
+        raise BudgetExceeded(f"codeword enumeration q**k = {q}**{n - r} exceeds budget {budget}")
+    enumerated = n * (q ** (n - r) - 1) // (q - 1)
+    spent = itertools.accumulate(_level_cells(n, r, t) for t in range(1, r + 1))
+    last = sum(1 for _ in itertools.takewhile(lambda cells: cells < enumerated, spent))
+    best = _girth(field, mats, last)
+    if last < r:
+        live = np.flatnonzero(best > last)
+        if live.size:
+            best[live] = _enumerated_min_weights(field, kernel(live))
+    return best
 
 
 def _enumerated_min_weights(field: FieldSpec, bases: np.ndarray) -> np.ndarray:
@@ -209,37 +208,24 @@ def _enumerated_min_weights(field: FieldSpec, bases: np.ndarray) -> np.ndarray:
 
 
 def min_distance(c: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> int:
-    """Minimum Hamming weight of a nonzero codeword: by column-subset ranks
-    for high-rate codes, by codeword enumeration otherwise (_min_weights).
-    Raises BudgetExceeded when q**k > budget."""
-    return int(_min_weights(c.field, c.basis.data[None], budget)[0])
+    """Minimum Hamming weight of a nonzero codeword: the column girth of a
+    check matrix H, or by enumerating the code where that is cheaper
+    (_kernel_min_weights).  Raises BudgetExceeded when q**k > budget."""
+    h = _kernel_basis(c.field, c.basis.data, c.pivots)
+    return int(_kernel_min_weights(c.field, h[None], lambda live: c.basis.data[None], budget)[0])
 
 
 def _dual_distance(c: LinearCode, budget: int = DEFAULT_DISTANCE_BUDGET) -> int:
-    """Minimum distance of the dual, min_distance(dual(c)), read off the
-    columns of c's basis G.
-
-    A nonzero word of the dual is supported inside S iff the columns of G
-    on S are dependent (MacWilliams-Sloane, ch. 1), so d(dual) is the
-    least t with some t columns of rank below t, and k + 1 when no t <= k
-    has one.  Levels t = 1, 2, ... run while their summed cells stay below
-    enumerating the dual's q**(n-k) codewords, n (q**(n-k) - 1) / (q - 1);
-    a code still open after them enumerates a kernel basis of G.
+    """Minimum distance of the dual, min_distance(dual(c)): the column
+    girth of c's basis G, or by enumerating a kernel basis of G where that
+    is cheaper (_kernel_min_weights), with no canonical dual built.
     Raises ZeroDual when k = n and BudgetExceeded when q**(n-k) > budget,
     as min_distance(dual(c)) does.
     """
     if c.k == c.n:
         raise ZeroDual("the full space has zero dual")
-    q, n, k = c.field.q, c.n, c.k
-    if q ** (n - k) > budget:
-        raise BudgetExceeded(f"codeword enumeration q**k = {q}**{n - k} exceeds budget {budget}")
-    enumerated = n * (q ** (n - k) - 1) // (q - 1)
-    spent = itertools.accumulate(_level_cells(n, k, t) for t in range(1, k + 1))
-    last = sum(1 for _ in itertools.takewhile(lambda cells: cells < enumerated, spent))
-    d = int(_deficient_level(c.field, c.basis.data[None], [(t, t) for t in range(1, last + 1)])[0])
-    if last < k and d > last:
-        d = int(_enumerated_min_weights(c.field, right_kernel_basis(c.basis).data[None])[0])
-    return d
+    g = c.basis.data
+    return int(_kernel_min_weights(c.field, g[None], lambda live: _kernel_basis(c.field, g, c.pivots)[None], budget)[0])
 
 
 def support(c: LinearCode) -> frozenset:

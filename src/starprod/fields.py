@@ -93,11 +93,13 @@ class FieldSpec:
     def __init__(self, p: int, m: int):
         if m < 1:
             raise BadRange(f"extension degree must be >= 1, got {m}")
+        # the bound before the trial division, whose time grows with sqrt(p);
+        # 2**b > Q_LIMIT for b = Q_LIMIT.bit_length(), so no power of p >= 2 past b is needed
+        if p > 1 and p ** min(m, Q_LIMIT.bit_length()) > Q_LIMIT:
+            raise TooLarge(f"field order {p}**{m} exceeds limit {Q_LIMIT}")
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         q = p**m
-        if q > Q_LIMIT:
-            raise TooLarge(f"field order {q} exceeds limit {Q_LIMIT}")
         self.p = p
         self.m = m
         self.q = q
@@ -252,6 +254,8 @@ def prime_power(q: int, error=NotPrime) -> tuple:
 @functools.lru_cache(maxsize=None)
 def field_from_order(q: int) -> FieldSpec:
     """Construct GF(q) from the order q = p**m."""
+    if q > Q_LIMIT:  # before factoring, whose time grows with sqrt(q)
+        raise TooLarge(f"field order {q} exceeds limit {Q_LIMIT}")
     return field_make(*prime_power(q))
 
 

@@ -28,12 +28,16 @@ MAX_SIDE = 4096
 
 
 class Mat:
-    """An immutable rows x cols matrix over a FieldSpec."""
+    """An immutable rows x cols matrix over a FieldSpec, built from integer
+    or bool data."""
 
     __slots__ = ("field", "data")
 
     def __init__(self, field: FieldSpec, data):
-        arr = np.array(data, dtype=np.int64)
+        arr = np.asarray(data)
+        if arr.size and arr.dtype.kind not in "biu":
+            raise ValueError(f"matrix entries must be integers in [0, {field.q}), got {arr.dtype} data")
+        arr = np.array(arr, dtype=np.int64)
         if arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
@@ -188,13 +192,20 @@ def rank(m: Mat) -> int:
 
 def right_kernel_basis(m: Mat) -> Mat:
     """A basis (as rows) of {x : m @ x.T = 0}, one row per free column."""
-    f = m.field
     red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    out = np.zeros((len(free), m.cols), dtype=np.int64)
+    return Mat._trusted(m.field, _kernel_basis(m.field, red.data, pivots))
+
+
+def _kernel_basis(field: FieldSpec, red: np.ndarray, pivots: tuple) -> np.ndarray:
+    """The kernel basis of an RREF red with the given pivot columns, as an
+    int64 array with one row per free column c: 1 at c and minus column c
+    of red at the pivots."""
+    n = red.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    out = np.zeros((len(free), n), dtype=np.int64)
     out[np.arange(len(free)), free] = 1
-    out[:, list(pivots)] = f.neg(red.data[: len(pivots), free].T)
-    return Mat._trusted(f, out)
+    out[:, list(pivots)] = field.neg(red[: len(pivots), free].T)
+    return out
 
 
 def rank_many(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
@@ -294,8 +305,7 @@ def parse_matrix(text: str) -> Mat:
         if len(row) != ncols:
             raise ValueError(f"expected {ncols} columns, found {len(row)}")
         grid.append(row)
-    arr = np.array(grid, dtype=np.int64).reshape(nrows, ncols)
-    return Mat(field, arr)
+    return Mat(field, np.array(grid).reshape(nrows, ncols))
 
 
 def save_matrix(m: Mat, path) -> None:

@@ -35,7 +35,7 @@ from starprod import (
     star_dim_lower_bound,
 )
 from starprod.catalog import mds63_gf7_codes
-from starprod.codes import _min_weights, pairwise_product_rows
+from starprod.codes import _kernel_min_weights, pairwise_product_rows
 from starprod.oracle import systematic_count
 from starprod.sampling import _pair_generators, resolve_threads
 import starprod.cli as cli
@@ -170,14 +170,15 @@ def test_criterion_06_mds_formula_vs_enumeration():
 
 
 def test_criterion_07_intersection_formula_and_trend():
-    for n in range(1, 5):
-        for k1 in range(1, n + 1):
-            for k2 in range(k1, n + 1):
-                p = Params(2, n, k1, k2)
-                assert expected_intersection_dim(p) == exact_expected_intersection(p)
+    for q in (2, 4, 5, 7, 8):
+        for n in range(1, 5):
+            for k1 in range(1, n + 1):
+                for k2 in range(k1, n + 1):
+                    p = Params(q, n, k1, k2)
+                    assert expected_intersection_dim(p) == exact_expected_intersection(p), (q, n, k1, k2)
     vals = [expected_intersection_dim(Params(2, k * k, k, k)) for k in (2, 3, 4, 5)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    report("7", True, "intersection expectation = pair enumeration (q=2, n<=4); vanishing trend at n=k^2")
+    report("7", True, "intersection expectation = pair enumeration (q in {2,4,5,7,8}, n<=4); vanishing trend at n=k^2")
 
 
 def test_criterion_08a_kernel_gap_strictly_decreasing():
@@ -256,12 +257,15 @@ def test_criterion_09_per_instance_bounds():
                 g1 = np.concatenate(parts1)[:per_combo]
                 g2 = np.concatenate(parts2)[:per_combo]
                 dims = rank_many(field, pairwise_product_rows(field, g1, g2))
-                dd1 = _min_weights(field, _dual_bases_from_systematic(field, g1, k1), budget)
-                dd2 = _min_weights(field, _dual_bases_from_systematic(field, g2, k2), budget)
+                h1 = _dual_bases_from_systematic(field, g1, k1)
+                h2 = _dual_bases_from_systematic(field, g2, k2)
+                # d(C-dual) is the least kernel weight of G, d(C) that of H
+                dd1 = _kernel_min_weights(field, g1, lambda live: h1[live], budget)
+                dd2 = _kernel_min_weights(field, g2, lambda live: h2[live], budget)
                 dual_bound = np.minimum(n, np.minimum(k1 + dd2 - 2, k2 + dd1 - 2))
                 violations += int((dims < dual_bound).sum())
-                mds_any = (_min_weights(field, g1, budget) == n - k1 + 1) | (
-                    _min_weights(field, g2, budget) == n - k2 + 1
+                mds_any = (_kernel_min_weights(field, h1, lambda live: g1[live], budget) == n - k1 + 1) | (
+                    _kernel_min_weights(field, h2, lambda live: g2[live], budget) == n - k2 + 1
                 )
                 violations += int((mds_any & (dims < min(n, k1 + k2 - 1))).sum())
                 instances += g1.shape[0]

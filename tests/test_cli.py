@@ -154,6 +154,16 @@ def test_apps_field_mismatch_exit(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_apps_bad_matrix_entries_exit(tmp_path, capsys):
+    # an entry beyond int64 or a non-integer entry is a usage error (exit 2),
+    # not a failed oracle check (exit 1)
+    for entry in (str(2**70), str(2**64 - 1), "1.7"):
+        path = tmp_path / "bad.mat"
+        path.write_text(f"5 1 2\n1 {entry}\n")
+        code, out, err = run(capsys, "apps", "pir", "--c", str(path), "--d", str(path))
+        assert code == 2 and out == "" and err.startswith("error:"), entry
+
+
 def test_apps_missing_file_exit(tmp_path, capsys):
     code, _, err = run(capsys, "apps", "csst", "--c1", str(tmp_path / "nope.mat"))
     assert code == 4

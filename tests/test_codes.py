@@ -35,7 +35,7 @@ from starprod.errors import (
     ZeroCode,
     ZeroDual,
 )
-from starprod.matrices import rank, stack
+from starprod.matrices import rank, rref, stack
 
 from conftest import grs_code, random_code
 
@@ -174,6 +174,16 @@ def _brute_min_weights(field, bases):
     return out
 
 
+def _check_matrices(field, bases):
+    """A (P, n - k, n) stack of check matrices H, one per basis of a
+    (P, k, n) stack of full-rank bases, each read off the basis's RREF."""
+    out = []
+    for b in bases:
+        red, pivots = rref(Mat(field, b))
+        out.append(matrices._kernel_basis(field, red.data, pivots))
+    return np.array(out)
+
+
 def _full_rank_bases(field, n, k, count, rng):
     out = []
     while len(out) < count:
@@ -198,9 +208,9 @@ def _mds_basis(field, n, k):
 
 def _mixed_bases(field, n, k, rng):
     """Random full-rank bases, one with a weight-1 codeword (d = 1) and one
-    MDS basis (d = n - k + 1) where one is at hand, so the column-subset
-    levels close some bases at the first level and leave others open past
-    the last."""
+    MDS basis (d = n - k + 1) where one is at hand, so the girth levels of
+    the check matrices close some bases at the first level and leave
+    others open past the last."""
     parts = [_full_rank_bases(field, n, k, 3, rng)]
     while True:
         m = _full_rank_bases(field, n, k, 1, rng)
@@ -216,15 +226,17 @@ def _mixed_bases(field, n, k, rng):
 
 
 def _check_routes(field, bases):
-    """The picked route and both routes, each called directly, equal brute
-    force on the stack."""
+    """The priced search on the check matrices H, the full girth search on
+    H (all n - k levels) and the enumeration of the bases, each called
+    directly, equal brute force on the stack."""
     want = _brute_min_weights(field, bases)
     _, k, n = bases.shape
     assert 1 in want, (field.q, n, k)
     if _mds_basis(field, n, k) is not None:
         assert n - k + 1 in want, (field.q, n, k)
-    assert codes._min_weights(field, bases, 2**24).tolist() == want, (field.q, n, k)
-    assert codes._subset_min_weights(field, bases).tolist() == want, (field.q, n, k)
+    checks = _check_matrices(field, bases)
+    assert codes._kernel_min_weights(field, checks, lambda live: bases[live], 2**24).tolist() == want, (field.q, n, k)
+    assert codes._girth(field, checks, n - k).tolist() == want, (field.q, n, k)
     assert codes._enumerated_min_weights(field, bases).tolist() == want, (field.q, n, k)
 
 
@@ -270,26 +282,43 @@ def test_min_distance_equals_brute_force_property(shape):
 
 
 def test_min_weights_picks_route_by_cell_count(monkeypatch):
+    # the rule depends on (q, n, k) only: the girth levels of the (n - k) x n
+    # check matrix run while their summed cells stay below enumerating the
+    # code's n (q**k - 1) / (q - 1) cells
     f2, f7 = field_make(2), field_make(7)
 
-    def refuse(field, bases):
+    def refuse(*args):
         raise AssertionError("route not expected here")
 
-    # high rate over GF(7): the enumeration would take 19,608 messages for [7, 6]
+    # every level is cheaper than enumerating, so nothing is enumerated:
+    # [7, 6] and [7, 5] over GF(7) (7 and 182 level cells against 137,256 and
+    # 19,607), [10, 9] (10 against 5,110) and [13, 11] over GF(2) (650 against
+    # 26,611), and k = n, whose check matrix has no rows and no level
     monkeypatch.setattr(codes, "_enumerated_min_weights", refuse)
     assert min_distance(grs_code(7, 7, 6)) == 2
     assert min_distance(grs_code(7, 7, 5)) == 3
-    monkeypatch.undo()
-    # [10, 9] over GF(2): 5,110 enumeration cells against 7,290 at the first level
-    # alone; [60, 3] over GF(2) has about 2**60 subsets, none of them indexed
-    monkeypatch.setattr(codes, "_subset_min_weights", refuse)
     assert min_distance(dual(repetition_code(f2, 10))) == 2
+    assert min_distance(dual(code_from_matrix(Mat(f2, [[1] * 13, [0] * 6 + [1] * 7])))) == 2
+    assert min_distance(full_space(f7, 8)) == 1
+    monkeypatch.undo()
+    # [60, 3] over GF(2): level 1 alone (3,420 cells) costs more than enumerating
+    # the code (420), so none of the subsets is indexed
+    monkeypatch.setattr(codes, "rank_many", refuse)
     blocks = np.kron(np.eye(3, dtype=np.int64), np.ones((1, 20), dtype=np.int64))
     assert min_distance(code_from_matrix(Mat(f2, blocks))) == 20
-    # k = n has no subset level to rank
     monkeypatch.undo()
-    monkeypatch.setattr(codes, "_enumerated_min_weights", refuse)
-    assert min_distance(full_space(f7, 8)) == 1
+    # [7, 2] over GF(7): level 1 (35 cells) costs less than enumerating (56),
+    # levels 1 and 2 (455) do not, so only the bases level 1 leaves open, those
+    # without a weight-1 codeword, are enumerated
+    rng = np.random.default_rng(14)
+    bases = np.concatenate([_mixed_bases(f7, 7, 2, rng) for _ in range(3)])
+    want = _brute_min_weights(f7, bases)
+    seen = []
+    girth, enumerate_ = codes._girth, codes._enumerated_min_weights
+    monkeypatch.setattr(codes, "_girth", lambda field, mats, levels: seen.append(levels) or girth(field, mats, levels))
+    monkeypatch.setattr(codes, "_enumerated_min_weights", lambda field, b: seen.append(len(b)) or enumerate_(field, b))
+    assert codes._kernel_min_weights(f7, _check_matrices(f7, bases), lambda live: bases[live], 2**24).tolist() == want
+    assert 1 in want and seen == [1, sum(d > 1 for d in want)]
 
 
 def test_min_weights_blocks_match_single_codes(monkeypatch):
@@ -304,18 +333,22 @@ def test_min_weights_blocks_match_single_codes(monkeypatch):
         bases = bases[[rank(Mat(f, b)) == 4 for b in bases]]
         single = [min_distance(code_from_matrix(Mat(f, b))) for b in bases]
         assert 1 in single[::2]
-        assert codes._min_weights(f, bases, 2**24).tolist() == single
-        # a cap below one code's block splits both the messages and the stack
-        monkeypatch.setattr(codes, "_BLOCK_CELLS", 50)
-        assert codes._min_weights(f, bases, 2**24).tolist() == single
+        checks = _check_matrices(f, bases)
+        for cap in (None, 50):
+            # a cap below one code's block splits both the messages and the stack
+            if cap:
+                monkeypatch.setattr(codes, "_BLOCK_CELLS", cap)
+            assert codes._enumerated_min_weights(f, bases).tolist() == single
+            assert codes._kernel_min_weights(f, checks, lambda live: bases[live], 2**24).tolist() == single
         monkeypatch.undo()
-    # column subsets: a cap below one subset of the stack ranks one subset a call
+    # girth levels: a cap below one subset of the stack ranks one subset a call
     f7 = field_make(7)
     bases = np.concatenate([_mixed_bases(f7, 7, 5, rng) for _ in range(4)])
     single = [min_distance(code_from_matrix(Mat(f7, b))) for b in bases]
-    assert codes._subset_min_weights(f7, bases).tolist() == single
+    checks = _check_matrices(f7, bases)
+    assert codes._girth(f7, checks, 2).tolist() == single
     monkeypatch.setattr(codes, "_BLOCK_CELLS", 50)
-    assert codes._subset_min_weights(f7, bases).tolist() == single
+    assert codes._girth(f7, checks, 2).tolist() == single
 
 
 def test_min_distance_budget_edge():
@@ -356,15 +389,14 @@ def _dual_cases(field, n, k, rng):
 
 
 def _check_dual_distance(field, n, k, rng):
-    """_dual_distance, the full level search and min_distance(dual) equal
-    brute force over the dual's codewords."""
+    """_dual_distance, the full girth search on the basis (all k levels)
+    and min_distance(dual) equal brute force over the dual's codewords."""
     want = []
     for basis in _dual_cases(field, n, k, rng):
         c = code_from_matrix(Mat(field, basis))
         d = _brute_min_weights(field, dual(c).basis.data[None])[0]
-        levels = [(t, t) for t in range(1, k + 1)]
         assert codes._dual_distance(c) == min_distance(dual(c)) == d, (field.q, n, k, basis)
-        assert codes._deficient_level(field, c.basis.data[None], levels).tolist() == [d], (field.q, n, k)
+        assert codes._girth(field, c.basis.data[None], k).tolist() == [d], (field.q, n, k)
         want.append(d)
     assert want[2] <= 2 and want[3] == 1, (field.q, n, k)
     if _mds_basis(field, n, k) is not None:
@@ -469,7 +501,8 @@ def test_dual_distance_bound_and_floor_build_no_dual(monkeypatch):
     for module, name in (
         (codes, "dual"),
         (apps, "dual"),
-        (codes, "right_kernel_basis"),
+        (codes, "_kernel_basis"),
+        (matrices, "_kernel_basis"),
         (matrices, "right_kernel_basis"),
         (codes, "_enumerated_min_weights"),
     ):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from starprod import FieldElem, field_arith, field_from_order, field_make
+from starprod import FieldElem, field_arith, field_from_order, field_make, parse_matrix
 from starprod._moduli import MODULI
 from starprod.errors import BadRange, DivisionByZero, NoModulusTableEntry, NotPrime, TooLarge
 from starprod.fields import FieldSpec
@@ -44,6 +44,26 @@ def test_construction_errors():
         field_make(2, 17)
     with pytest.raises(BadRange):
         field_make(2, 0)
+
+
+def test_order_bound_checked_before_factoring(monkeypatch):
+    # trial division takes time growing with sqrt(q), so an order above the
+    # bound is refused before any factoring helper runs
+    import starprod.fields as fields_mod
+
+    def refuse(*args):
+        raise AssertionError("no factoring expected above the order bound")
+
+    monkeypatch.setattr(fields_mod, "prime_power", refuse)
+    monkeypatch.setattr(fields_mod, "_is_prime", refuse)
+    for q in (2**16 + 1, 99999999999973, 10**20 + 39):
+        with pytest.raises(TooLarge):
+            field_from_order(q)
+        with pytest.raises(TooLarge):
+            parse_matrix(f"{q} 1 1\n0\n")
+    for p, m in ((99999999999973, 1), (2, 17), (3, 11), (10**20 + 39, 10**9)):
+        with pytest.raises(TooLarge):
+            FieldSpec(p, m)
 
 
 def test_missing_modulus_entry(monkeypatch):

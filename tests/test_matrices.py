@@ -243,6 +243,25 @@ def test_matrix_validation():
         zeros(f3, 1, 4097)
 
 
+def test_matrix_rejects_non_integer_data():
+    # floats were truncated and strings parsed; now only integer and bool data pass
+    f3 = field_make(3)
+    for data in ([[1.7, 2]], [[1.0, 2.0]], [["1", "2"]], [[1, 2**70]], np.array([[0.0, 1.0]]), [[None, 1]]):
+        with pytest.raises(ValueError, match="must be integers"):
+            Mat(f3, data)
+    assert Mat(f3, [[True, False]]).data.tolist() == [[1, 0]]
+    assert Mat(f3, np.array([[2, 1]], dtype=np.uint8)).data.dtype == np.int64
+    assert Mat(f3, []).shape == (1, 0)
+
+
+def test_parse_matrix_entries_beyond_int64_raise_value_error():
+    # np.array(..., dtype=np.int64) raised OverflowError on these
+    for entry in (2**63, 2**64 - 1, 2**64, 10**30):
+        with pytest.raises(ValueError):
+            parse_matrix(f"5 1 2\n1 {entry}\n")
+    assert parse_matrix("2 0 3\n").shape == (0, 3)
+
+
 def test_text_format_roundtrip(tmp_path):
     f5 = field_make(5)
     m = Mat(f5, [[0, 1, 2], [3, 4, 0]])

@@ -222,7 +222,7 @@ def test_dual_distance_bound_holds_on_enumerated_pairs():
 def test_jensen_bound_below_exact_star_dim_grid():
     # the bound that the kernel expectation yields never exceeds the
     # exact mean star dimension, at any enumerable parameter point
-    for q in (2, 3):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         for n in range(1, 5):
             for k1 in range(1, min(n, 3) + 1):
                 for k2 in range(k1, min(n, 3) + 1):
