@@ -56,16 +56,28 @@ def _mod(x: np.ndarray, q: int) -> np.ndarray:
     return np.subtract(x, t, out=t)
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # Miller-Rabin with _MR_BASES is exact below it
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin test with the prime bases 2..41, exact
+    for p < _MR_LIMIT; BadRange at or above it."""
+    if p >= _MR_LIMIT:
+        raise BadRange(f"primality of {p} is certified only below {_MR_LIMIT}")
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    for a in _MR_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 
@@ -93,7 +105,7 @@ class FieldSpec:
     def __init__(self, p: int, m: int):
         if m < 1:
             raise BadRange(f"extension degree must be >= 1, got {m}")
-        # the bound before the trial division, whose time grows with sqrt(p);
+        # the bound first, so an order above it raises TooLarge, never _is_prime's BadRange;
         # 2**b > Q_LIMIT for b = Q_LIMIT.bit_length(), so no power of p >= 2 past b is needed
         if p > 1 and p ** min(m, Q_LIMIT.bit_length()) > Q_LIMIT:
             raise TooLarge(f"field order {p}**{m} exceeds limit {Q_LIMIT}")
@@ -232,29 +244,35 @@ def field_make(p: int, m: int = 1) -> FieldSpec:
 def prime_power(q: int, error=NotPrime) -> tuple:
     """Return (p, m) with q = p**m and p prime, without building tables.
 
-    Raises BadRange when q < 2 and error when q is not a prime power.
+    Raises BadRange when q < 2 or p >= _MR_LIMIT, where primality is not
+    certified, and error when q is not a prime power.
     """
     if q < 2:
         raise BadRange(f"field order must be >= 2, got {q}")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q  # q itself is prime
-    m = 0
-    v = q
-    while v % p == 0:
-        v //= p
-        m += 1
-    if v != 1:
+    # p**m = q with the largest such m; p is then prime or q no prime power
+    for m in range(q.bit_length() - 1, 0, -1):
+        p = _root(q, m)
+        if p**m == q:
+            break
+    if not _is_prime(p):
         raise error(f"{q} is not a prime power")
     return p, m
+
+
+def _root(q: int, m: int) -> int:
+    """floor(q ** (1/m)) for q >= 1, by Newton's method from above."""
+    r = 1 << -(-q.bit_length() // m)
+    while True:
+        s = ((m - 1) * r + q // r ** (m - 1)) // m
+        if s >= r:
+            return r
+        r = s
 
 
 @functools.lru_cache(maxsize=None)
 def field_from_order(q: int) -> FieldSpec:
     """Construct GF(q) from the order q = p**m."""
-    if q > Q_LIMIT:  # before factoring, whose time grows with sqrt(q)
+    if q > Q_LIMIT:  # before factoring, so that any order above it raises TooLarge
         raise TooLarge(f"field order {q} exceeds limit {Q_LIMIT}")
     return field_make(*prime_power(q))
 

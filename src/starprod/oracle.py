@@ -26,7 +26,10 @@ exact.  The star-dimension and kernel oracles reduce both sides and the
 fixed-code oracle its enumerated side.  The intersection oracle reduces
 only its outer side, because the intersection is invariant under joint
 scaling only (see exact_expected_intersection).  At q = 2 every orbit is
-a single basis and nothing is saved.
+a single basis and nothing is saved.  _orbit_blocks decodes the
+representatives through one shift table per call and builds them in
+field._dtype, like the fixed code's basis, so the star and meet
+products run on the narrow arrays rank_many reduces.
 
 Every pair oracle runs through _orbit_histogram on the calling thread;
 the fixed-code oracle's outer side is the one basis of C.
@@ -127,40 +130,34 @@ def _subspace_blocks(field: FieldSpec, n: int, k: int, block: int, pivot_sets) -
         yield from _fillings(*_rref_cells(np.isin(np.arange(n), pivots), k), field.q, block)
 
 
-def _orbit_count(q: int, h: int) -> int:
-    """Orbits of F_q^h under scaling by F_q^*: zero and the projective
-    points.  Their representatives are decoded as integers below q**h,
-    which must therefore fit int64 too."""
-    return 1 + (_index_count([q] * h) - 1) // (q - 1)
-
-
 def _orbit_blocks(field: FieldSpec, n: int, k: int, block: int, pivot_sets) -> Iterator[tuple]:
-    """(mats, z) blocks of the canonical RREF bases with the given pivot
-    column sets whose non-pivot columns are zero or have topmost nonzero
-    entry 1, one per column-scaling orbit; z counts the nonzero non-pivot
-    columns.  The free cells of a column c are its top h_c rows, h_c being
-    the number of pivots left of c."""
+    """(mats, z) blocks, in field._dtype, of the canonical RREF bases with
+    the given pivot column sets whose non-pivot columns are zero or have
+    topmost nonzero entry 1, one per column-scaling orbit; z counts the
+    nonzero non-pivot columns.  The free cells of a column c are its top
+    h_c rows, h_c being the number of pivots left of c."""
     q = field.q
+    # Read top-down as base-q digits, the representatives of a height-h
+    # column are the integers below q**h whose leading digit is 0 or 1, in
+    # increasing order: zero, then q**m + [0, q**m) for m = 0, 1, ..., from
+    # orbit starts[m] = 1 + (q**m - 1)/(q - 1) on.  So orbit o is o +
+    # shift[j], j = searchsorted(starts, o, "right"), and starts[h] is the
+    # orbit count.  Only n > k leaves non-pivot columns, of height <= k.
+    top = k if n > k else 0
+    _index_count([q] * top)  # every representative is an int64 below q**top
+    powers = q ** np.arange(top + 1, dtype=np.int64)
+    starts = 1 + (powers - 1) // (q - 1)
+    shift = np.concatenate(([0], powers[:-1] - starts[:-1]))
     for pivots in pivot_sets:
         free, base = _rref_cells(np.isin(np.arange(n), pivots), k)
         heights = free.sum(axis=0)
         cols = np.nonzero(heights)[0]
-        h = heights[cols, None]
-        radices = [_orbit_count(q, int(hc)) for hc in h[:, 0]]
-        # A column is decoded as the integer whose base-q digits it holds.
-        # Orbit 0 is the zero column.  The representatives with m entries
-        # after their leading 1 are the integers q^m + [0, q^m), orbits
-        # starts[m+1] = 1 + (q^m - 1)/(q - 1) on.  Past h_c, starts holds
-        # the column's orbit count, which exceeds every orbit index.
-        powers = np.concatenate(([0], q ** np.arange(h.max(initial=0), dtype=np.int64)))
-        counts = np.array(radices, dtype=np.int64)[:, None]
-        starts = np.where(np.arange(powers.size) <= h, 1 + (powers - 1) // (q - 1), counts)
         rows, cell_cols = np.nonzero(free)
         cell_t = np.searchsorted(cols, cell_cols)
-        place = q ** (heights[cell_cols] - 1 - rows)
-        for orbits in _digit_blocks(radices, block):
-            m = (orbits[:, :, None] >= starts).sum(axis=2) - 1
-            value = powers[m] + orbits - starts[np.arange(cols.size), m]
+        place = powers[heights[cell_cols] - 1 - rows]
+        base = base.astype(field._dtype)
+        for orbits in _digit_blocks(starts[heights[cols]].tolist(), block):
+            value = orbits + shift[np.searchsorted(starts, orbits, side="right")]
             mats = np.broadcast_to(base, (len(orbits), k, n)).copy()
             mats[:, rows, cell_cols] = value[:, cell_t] // place % q
             yield mats, np.count_nonzero(orbits, axis=1)
@@ -245,9 +242,10 @@ def enumerate_subspaces(field: FieldSpec, n: int, k: int, budget=None) -> Iterat
 
 def _rref_codes(field: FieldSpec, n: int, k: int, model: RandomModel) -> Iterator[LinearCode]:
     """The codes of the model's canonical RREF bases, taken as they are."""
-    for block in _subspace_blocks(field, n, k, _SUBSPACE_BLOCK, _pivot_sets(n, k, model)):
-        for mat in block:
-            yield LinearCode(field, Mat(field, mat), tuple(int(np.argmax(row != 0)) for row in mat))
+    for pivots in _pivot_sets(n, k, model):
+        for block in _subspace_blocks(field, n, k, _SUBSPACE_BLOCK, [pivots]):
+            for mat in block:
+                yield LinearCode(field, Mat(field, mat), pivots)
 
 
 def _pair_histogram(p: Params, model: RandomModel, stat, budget, reduce_inner: bool = True) -> tuple:
@@ -311,7 +309,7 @@ def _fixed_histogram(c: LinearCode, ell: int, budget) -> tuple:
         return _packed(_orbit_blocks(field, c.n, ell, _SUBSPACE_BLOCK, pivots), _SUBSPACE_BLOCK)
 
     size = min(c.k * ell, c.n) + 1
-    outer = [(c.basis.data[None], np.zeros(1, dtype=np.int64))]
+    outer = [(c.basis.data.astype(field._dtype)[None], np.zeros(1, dtype=np.int64))]
     return _orbit_histogram(field, star_dims, size, c.n - ell, outer, inner_blocks), count
 
 
@@ -382,13 +380,9 @@ class MonomialCheck(NamedTuple):
     expectation_image: Fraction
 
 
-def monomial_invariance_check(
-    c: LinearCode, m: Mat, ell: int, budget=None, threads: int = 1
-) -> MonomialCheck:
+def monomial_invariance_check(c: LinearCode, m: Mat, ell: int, budget=None) -> MonomialCheck:
     """Compare the exact fixed-code star expectation of C and of C * M
-    for a monomial matrix M; monomially equivalent codes must agree.
-    threads is accepted as in exact_expected_star_dim_fixed and splits
-    nothing."""
+    for a monomial matrix M; monomially equivalent codes must agree."""
     if m.rows != m.cols or m.rows != c.n or m.field != c.field:
         raise NotMonomial(f"need an {c.n} x {c.n} matrix over {c.field!r}")
     nz = m.data != 0

@@ -34,6 +34,11 @@ def test_bound_validation_exit_code(capsys):
     assert code == 2 and "error" in err
 
 
+def test_bound_at_a_large_prime_order(capsys):
+    code, out, _ = run(capsys, "bound", "-q", "99999999999973", "-n", "5", "-k1", "2", "-k2", "2")
+    assert code == 0 and "bound = " in out
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["bound", "-q", "2"]) == 2  # missing required flags
     capsys.readouterr()

@@ -68,6 +68,17 @@ def test_qbinom_rejects_non_prime_power_order(q):
         qbinom(3, 1, q)
 
 
+def test_large_prime_orders_are_checked_without_factoring():
+    # a 14-digit prime order and its square, certified without factoring
+    q = 99999999999973
+    assert Params(q, 5, 2, 2).q == q
+    assert qbinom(5, 2, q) == (q**5 - 1) * (q**4 - 1) // ((q**2 - 1) * (q - 1))
+    assert Params(q**2, 3, 1, 1).q == q**2
+    for call in (lambda: Params(6**20, 5, 2, 2), lambda: qbinom(5, 2, 6**20)):
+        with pytest.raises(BadRange):
+            call()
+
+
 def test_qbinom_symmetry():
     for q in (2, 3, 4, 5):
         for n in range(8):

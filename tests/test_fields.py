@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from starprod import FieldElem, field_arith, field_from_order, field_make, parse_matrix
 from starprod._moduli import MODULI
 from starprod.errors import BadRange, DivisionByZero, NoModulusTableEntry, NotPrime, TooLarge
-from starprod.fields import FieldSpec
+from starprod.fields import _MR_LIMIT, FieldSpec, _is_prime, prime_power
 
 # prime powers up to 64, all of which ship with tables
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -47,8 +47,8 @@ def test_construction_errors():
 
 
 def test_order_bound_checked_before_factoring(monkeypatch):
-    # trial division takes time growing with sqrt(q), so an order above the
-    # bound is refused before any factoring helper runs
+    # an order above the bound is refused with TooLarge before any factoring
+    # helper runs, even where _is_prime would raise BadRange
     import starprod.fields as fields_mod
 
     def refuse(*args):
@@ -81,6 +81,49 @@ def test_field_from_order():
         field_from_order(12)
     with pytest.raises(BadRange):
         field_from_order(1)
+
+
+def _trial_prime_power(q):
+    """(p, m) with q = p**m by trial division, or None."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    m = 0
+    while q % p == 0:
+        q //= p
+        m += 1
+    return (p, m) if q == 1 else None
+
+
+def test_prime_power_matches_trial_division():
+    for q in range(2, 3000):
+        want = _trial_prime_power(q)
+        if want is None:
+            with pytest.raises(NotPrime):
+                prime_power(q)
+        else:
+            assert prime_power(q) == want, q
+    sieve = np.ones(20000, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 142):
+        sieve[d * d :: d] = False
+    assert [_is_prime(n) for n in range(20000)] == sieve.tolist()
+
+
+def test_prime_power_large_orders():
+    p14, p20, p24 = 99999999999973, 10**20 + 39, 3317044064679887385961813  # primes
+    assert prime_power(p14) == (p14, 1)
+    assert prime_power(p14**2) == (p14, 2)
+    assert prime_power(p20**3) == (p20, 3)
+    assert prime_power(p24) == (p24, 1) and p24 < _MR_LIMIT
+    assert prime_power(2**100) == (2, 100)
+    # strong pseudoprimes to the prime bases up to 7, 23 and 37, and a semiprime
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461, p14 * 1000000007):
+        assert not _is_prime(n)
+    with pytest.raises(NotPrime):
+        prime_power(p14 * 1000000007)
+    with pytest.raises(BadRange, match=str(_MR_LIMIT)):
+        prime_power(2**89 - 1)  # a prime above the certified range
+    with pytest.raises(BadRange, match="not a prime power"):
+        prime_power(6**20, BadRange)
 
 
 def test_division_by_zero():

@@ -348,6 +348,38 @@ def test_orbit_blocks_cover_every_basis_once():
         assert set(seen) == {g.tobytes() for g in full}
 
 
+def _orbit_listing(q, h):
+    """Zero and the vectors of F_q^h whose topmost nonzero entry is 1, in
+    increasing order when read top-down as base-q digits."""
+    return [v for v in itertools.product(range(q), repeat=h) if not any(v) or v[np.flatnonzero(v)[0]] == 1]
+
+
+def test_orbit_blocks_decode_columns_in_order_in_field_dtype():
+    # a pivot set's non-pivot columns, of heights 1 to 3 here, run over the
+    # brute-force listings in mixed-radix order, leftmost column first
+    for q in ORBIT_QS:
+        field = field_from_order(q)
+        for n, k in [(4, 3), (5, 3), (4, 1)]:
+            for pivots in oracle._pivot_sets(n, k, RandomModel.UNIFORM_SUBSPACE):
+                cols = [c for c in range(n) if c not in pivots]
+                heights = [sum(p < c for p in pivots) for c in cols]
+                want = list(itertools.product(*(_orbit_listing(q, h) for h in heights)))
+                got, z = [], []
+                for mats, zs in oracle._orbit_blocks(field, n, k, 7, [pivots]):
+                    assert mats.dtype == field._dtype
+                    got += [tuple(tuple(g[:h, c].tolist()) for c, h in zip(cols, heights)) for g in mats]
+                    z += zs.tolist()
+                assert got == want, (q, n, k, pivots)
+                assert z == [sum(map(any, combo)) for combo in want]
+
+
+def test_orbit_decode_sized_by_columns_not_by_k():
+    # n = k leaves no non-pivot column, so q**k may exceed int64 indices
+    assert exact_expected_star_dim(Params(2, 70, 70, 70), RandomModel.UNIFORM_SUBSPACE) == 70
+    with pytest.raises(TooLarge):
+        exact_expected_star_dim(Params(2, 64, 63, 63), RandomModel.UNIFORM_SUBSPACE, budget=EnumBudget(2**200))
+
+
 def test_orbit_oracles_reach_new_ground_truth():
     # points the full enumeration could not reach under the default budget
     for p in (Params(7, 5, 2, 2), Params(5, 5, 2, 3)):
