@@ -41,7 +41,7 @@ from .exact import (
     star_dim_lower_bound,
     zeros_of_form,
 )
-from .fields import FieldElem, FieldSpec, field_arith, field_from_order, field_make
+from .fields import FieldSpec, field_from_order, field_make
 from .matrices import (
     Mat,
     format_matrix,

@@ -12,6 +12,7 @@ threads run them.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -19,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .codes import pairwise_product_rows
+from .exact import RandomModel
 from .matrices import rank_many
 
 
@@ -51,6 +53,16 @@ def star_dims(field, g1: np.ndarray, g2: np.ndarray, prefix: int = 0) -> np.ndar
         prod = prod[..., kept, :]
     batch = math.prod(prod.shape[:-2])  # reshape(-1, ...) fails on a zero-column batch
     return prefix + rank_many(field, prod.reshape((batch,) + prod.shape[-2:]))
+
+
+def pair_stat(p, model, stat) -> tuple:
+    """(stat, size) for the model's generator pairs at p.  size =
+    min(k1*k2, n) + 1 bounds both statistics (an intersection has dim <=
+    k1), and systematic pairs [I_k1 | A1], [I_k2 | A2] share min(k1, k2)
+    unit columns, which stat (star_dims, the only systematic one) peels."""
+    if model is RandomModel.SYSTEMATIC:
+        stat = functools.partial(stat, prefix=min(p.k1, p.k2))
+    return stat, min(p.k1 * p.k2, p.n) + 1
 
 
 def meet_dims(field, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:

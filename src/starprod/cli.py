@@ -18,8 +18,6 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-import mpmath
-
 from . import apps, catalog, exact, oracle, sampling
 from .codes import code_from_matrix, is_mds, support
 from .errors import BudgetExceeded, StarprodError
@@ -29,6 +27,8 @@ from .matrices import load_matrix, save_matrix
 
 
 def _dec(x: Fraction) -> str:
+    import mpmath  # here, not at module level: only this rendering needs it
+
     with mpmath.workdps(25):
         val = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
         return mpmath.nstr(val, 10)

@@ -13,13 +13,12 @@ lower index exceeds the upper one, and the empty product is 1.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
-
-import mpmath
 
 from .errors import BadRange, UncoveredCase
 from .fields import prime_power
@@ -187,9 +186,9 @@ def star_dim_lower_bound(p: Params) -> StarDimBound:
     the float result is correct to well over 10 significant digits.
     """
     e = expected_kernel_size(p)
-    with mpmath.workdps(40):
-        logq_e = (mpmath.log(e.numerator) - mpmath.log(e.denominator)) / mpmath.log(p.q)
-        bound = float(p.k1 * p.k2 - logq_e)
+    with decimal.localcontext(decimal.Context(prec=40)):
+        ln_num, ln_den, ln_q = (decimal.Decimal(v).ln() for v in (e.numerator, e.denominator, p.q))
+        bound = float(p.k1 * p.k2 - (ln_num - ln_den) / ln_q)
     return StarDimBound(bound, e)
 
 

@@ -21,7 +21,6 @@ which holds [0, q): uint8 for uint8 inputs, int64 for int64 ones.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,8 +122,7 @@ class FieldSpec:
             self._dtype = np.min_scalar_type((q - 1) ** 2)
             # inv[a] for a >= 1 via the standard recurrence; inv[0] unused
             inv = np.zeros(q, dtype=np.int64)
-            if q > 1:
-                inv[1] = 1
+            inv[1] = 1
             for a in range(2, q):
                 inv[a] = (-(q // a) * inv[q % a]) % q
         else:
@@ -218,11 +216,6 @@ class FieldSpec:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    # -- element helpers ---------------------------------------------------
-
-    def elem(self, value: int) -> "FieldElem":
-        return FieldElem(self, int(value))
-
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.q == other.q
 
@@ -276,60 +269,3 @@ def field_from_order(q: int) -> FieldSpec:
         raise TooLarge(f"field order {q} exceeds limit {Q_LIMIT}")
     return field_make(*prime_power(q))
 
-
-@dataclass(frozen=True)
-class FieldElem:
-    """A single field element; arithmetic delegates to its FieldSpec."""
-
-    field: FieldSpec
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.q:
-            raise BadRange(f"element {self.value} outside [0, {self.field.q})")
-
-    def _check(self, other: "FieldElem") -> None:
-        if self.field != other.field:
-            raise BadRange("elements from different fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.field, int(self.field.add(self.value, other.value)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.field, int(self.field.sub(self.value, other.value)))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.field, int(self.field.mul(self.value, other.value)))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElem(self.field, int(self.field.div(self.value, other.value)))
-
-    def __neg__(self):
-        return FieldElem(self.field, int(self.field.neg(self.value)))
-
-    def inverse(self) -> "FieldElem":
-        return FieldElem(self.field, int(self.field.inv(self.value)))
-
-
-def field_arith(a: FieldElem, b, op: str) -> FieldElem:
-    """Dispatch one of {add, sub, mul, div, inv, neg} on field elements.
-
-    Unary operations (inv, neg) ignore b.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "inv":
-        return a.inverse()
-    if op == "neg":
-        return -a
-    raise BadRange(f"unknown field operation {op!r}")

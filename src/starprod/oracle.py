@@ -28,8 +28,8 @@ only its outer side, because the intersection is invariant under joint
 scaling only (see exact_expected_intersection).  At q = 2 every orbit is
 a single basis and nothing is saved.  _orbit_blocks decodes the
 representatives through one shift table per call and builds them in
-field._dtype, like the fixed code's basis, so the star and meet
-products run on the narrow arrays rank_many reduces.
+field._dtype, like _subspace_blocks and the fixed code's basis, so the
+star and meet products run on the narrow arrays rank_many reduces.
 
 Every pair oracle runs through _orbit_histogram on the calling thread;
 the fixed-code oracle's outer side is the one basis of C.
@@ -41,7 +41,6 @@ BudgetExceeded at the same sizes whatever the enumeration ranks.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -50,7 +49,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ._tally import dim_histogram, meet_dims, star_dims
+from ._tally import dim_histogram, meet_dims, pair_stat, star_dims
 from .codes import LinearCode, code_from_matrix
 from .errors import BadRange, BudgetExceeded, NotMonomial, TooLarge
 from .exact import Params, RandomModel, qbinom
@@ -125,9 +124,11 @@ def _fillings(free: np.ndarray, base: np.ndarray, q: int, block: int) -> Iterato
 
 def _subspace_blocks(field: FieldSpec, n: int, k: int, block: int, pivot_sets) -> Iterator[np.ndarray]:
     """Canonical RREF bases of the k-dim subspaces with the given pivot
-    column sets, as (B, k, n) tensors, pivot set by pivot set."""
+    column sets, as (B, k, n) tensors in field._dtype, pivot set by pivot
+    set."""
     for pivots in pivot_sets:
-        yield from _fillings(*_rref_cells(np.isin(np.arange(n), pivots), k), field.q, block)
+        free, base = _rref_cells(np.isin(np.arange(n), pivots), k)
+        yield from _fillings(free, base.astype(field._dtype), field.q, block)
 
 
 def _orbit_blocks(field: FieldSpec, n: int, k: int, block: int, pivot_sets) -> Iterator[tuple]:
@@ -245,21 +246,18 @@ def _rref_codes(field: FieldSpec, n: int, k: int, model: RandomModel) -> Iterato
     for pivots in _pivot_sets(n, k, model):
         for block in _subspace_blocks(field, n, k, _SUBSPACE_BLOCK, [pivots]):
             for mat in block:
-                yield LinearCode(field, Mat(field, mat), pivots)
+                # a copy, so that a code kept by the caller does not pin its block
+                yield LinearCode(field, Mat._trusted(field, mat.astype(np.int64)), pivots)
 
 
 def _pair_histogram(p: Params, model: RandomModel, stat, budget, reduce_inner: bool = True) -> tuple:
-    """Exact histogram of stat over every generator pair of the model,
-    with the pair count.  Its length min(k1*k2, n) + 1 bounds both
-    statistics, since an intersection has dim <= k1.
-
-    The outer side runs over column-scaling orbits, and so does the inner
-    side when reduce_inner is set (see the module docstring).  Systematic
-    pairs [I_k1 | A1], [I_k2 | A2] share min(k1, k2) unit columns, so stat
-    (star_dims, the only systematic one) peels them."""
+    """Exact histogram of stat (see _tally.pair_stat) over every generator
+    pair of the model, with the pair count.  The outer side runs over
+    column-scaling orbits, and so does the inner side when reduce_inner is
+    set (see the module docstring)."""
     field = field_from_order(p.q)
+    stat, size = pair_stat(p, model, stat)
     if model is RandomModel.SYSTEMATIC:
-        stat = functools.partial(stat, prefix=min(p.k1, p.k2))
         count = systematic_count(p.q, p.n, p.k1) * systematic_count(p.q, p.n, p.k2)
     else:
         count = qbinom(p.n, p.k1, p.q) * qbinom(p.n, p.k2, p.q)
@@ -274,7 +272,6 @@ def _pair_histogram(p: Params, model: RandomModel, stat, budget, reduce_inner: b
             pieces = ((g, np.zeros(len(g), dtype=np.int64)) for g in blocks)
         return _packed(pieces, _SUBSPACE_BLOCK)
 
-    size = min(p.k1 * p.k2, p.n) + 1
     z_max = p.n - p.k1 + (p.n - p.k2 if reduce_inner else 0)
     outer_pivots = _pivot_sets(p.n, p.k1, model)
     outer = _packed(_orbit_blocks(field, p.n, p.k1, _OUTER_BLOCK, outer_pivots), _OUTER_BLOCK)
@@ -363,7 +360,7 @@ def count_zero_diag_oracle(k1: int, k2: int, q: int, budget=None) -> ZeroDiagCou
         zero_cols = (mats[:, :, k1:] == 0).all(axis=1)
         yield rank_many(field, mats) * (1 << w) + zero_cols @ (1 << np.arange(w, dtype=np.int64))
 
-    blocks = _fillings(free, np.zeros((k1, k2), dtype=np.int64), q, _SUBSPACE_BLOCK)
+    blocks = _fillings(free, np.zeros((k1, k2), dtype=field._dtype), q, _SUBSPACE_BLOCK)
     counts = dim_histogram((k1 + 1) << w, blocks, keys)
     out = ZeroDiagCounts()
     for index, c in enumerate(counts):

@@ -20,14 +20,13 @@ bias below 2**-64 per column; no statistic here can see either.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from ._tally import dim_histogram, meet_dims, resolve_threads, star_dims
+from ._tally import dim_histogram, meet_dims, pair_stat, resolve_threads, star_dims
 from .codes import LinearCode, code_from_matrix
 from .errors import BadRange
 from .exact import Params, RandomModel, _qbinom, star_dim_lower_bound
@@ -209,9 +208,7 @@ class Estimate:
 def _stderr_from_sums(total: int, total_sq: int, n: int) -> float:
     if n < 2:
         return 0.0
-    num = n * total_sq - total * total
-    if num < 0:
-        num = 0  # guard against exact-zero variance rounding
+    num = n * total_sq - total * total  # >= 0 by Cauchy-Schwarz, exactly
     try:
         return math.sqrt(float(Fraction(num, n * n * (n - 1))))
     except OverflowError:
@@ -219,20 +216,15 @@ def _stderr_from_sums(total: int, total_sq: int, n: int) -> float:
 
 
 def _sample_histogram(p: Params, model, samples, seed, threads, stat) -> list:
-    """Exact histogram of stat (star_dims or meet_dims) over the sample
-    range, one job per _CHUNK samples.  Its length min(k1*k2, n) + 1
-    bounds both statistics, since an intersection has dim <= k1.
-
-    Systematic pairs [I_k1 | A1], [I_k2 | A2] share min(k1, k2) unit
-    columns, so stat (star_dims, the only systematic one) peels them."""
+    """Exact histogram of stat (star_dims or meet_dims, see
+    _tally.pair_stat) over the sample range, one job per _CHUNK samples."""
     if samples < 1:
         raise BadRange(f"need samples >= 1, got {samples}")
     field = field_from_order(p.q)
-    if model is RandomModel.SYSTEMATIC:
-        stat = functools.partial(stat, prefix=min(p.k1, p.k2))
+    stat, size = pair_stat(p, model, stat)
     chunks = [(s, min(_CHUNK, samples - s)) for s in range(0, samples, _CHUNK)]
     return dim_histogram(
-        min(p.k1 * p.k2, p.n) + 1,
+        size,
         chunks,
         lambda chunk: [stat(field, *_pair_generators(field, p, model, seed, *chunk))],
         resolve_threads(threads),

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +268,13 @@ def test_golden_stdout(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def test_import_does_not_load_mpmath():
+    # mpmath is loaded only when the CLI prints an exact rational's decimal
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, starprod, starprod.cli; assert 'mpmath' not in sys.modules, 'mpmath imported'"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr

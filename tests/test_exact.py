@@ -264,6 +264,22 @@ def test_star_dim_lower_bound_published_values():
         assert res.kernel_expectation >= 1
 
 
+def test_star_dim_lower_bound_matches_mpmath_reference():
+    # the bound's logarithm at 40 digits, against mpmath at the same
+    # precision, over prime orders and odd- and even-p extension orders
+    import mpmath
+
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 49, 81, 125, 243, 256):
+        for n in range(1, 16):
+            for k1 in range(1, 5):
+                for k2 in range(k1, min(n, 4) + 1):
+                    res = star_dim_lower_bound(Params(q, n, k1, k2))
+                    e = res.kernel_expectation
+                    with mpmath.workdps(40):
+                        logq_e = (mpmath.log(e.numerator) - mpmath.log(e.denominator)) / mpmath.log(q)
+                        assert res.bound == float(k1 * k2 - logq_e), (q, n, k1, k2)
+
+
 def test_expected_star_dim_mds_examples():
     assert expected_star_dim_mds(2, 2, 2, 1) == Fraction(4, 3)
     assert expected_star_dim_mds(2, 2, 2, 2) == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from starprod import FieldElem, field_arith, field_from_order, field_make, parse_matrix
+from starprod import field_from_order, field_make, parse_matrix
 from starprod._moduli import MODULI
 from starprod.errors import BadRange, DivisionByZero, NoModulusTableEntry, NotPrime, TooLarge
 from starprod.fields import _MR_LIMIT, FieldSpec, _is_prime, prime_power
@@ -185,33 +185,15 @@ def test_large_prime_field_inverse_table():
     assert (f.mul(a, f.inv(a)) == 1).all()
 
 
-def test_field_elem_operators():
-    f4 = field_make(2, 2)
-    x = f4.elem(2)
-    y = f4.elem(3)
-    assert (x * y).value == 1
-    assert (x + y).value == 1  # (x) + (x+1) = 1
-    assert (x - y).value == 1
-    assert (-x).value == 2  # characteristic 2
-    assert (y / x).value == (y * x.inverse()).value
+@pytest.mark.parametrize("q", EXHAUSTIVE_Q)
+def test_div_inverts_mul_exhaustive(q):
+    f = field_from_order(q)
+    a, b = np.meshgrid(np.arange(q), np.arange(1, q), indexing="ij")
+    assert (f.mul(f.div(a, b), b) == a).all()
     with pytest.raises(DivisionByZero):
-        x / f4.elem(0)
-    with pytest.raises(BadRange):
-        FieldElem(f4, 7)
-
-
-def test_field_arith_dispatch():
-    f5 = field_make(5)
-    a, b = f5.elem(3), f5.elem(4)
-    assert field_arith(a, b, "add").value == 2
-    assert field_arith(a, b, "sub").value == 4
-    assert field_arith(a, b, "mul").value == 2
-    assert field_arith(a, b, "div").value == 2  # 3 * inv(4) = 3 * 4 = 12 = 2
-    assert field_arith(a, None, "neg").value == 2
-    assert field_arith(a, None, "inv").value == 2
-    assert field_arith(f5.elem(1), None, "inv").value == 1
-    with pytest.raises(BadRange):
-        field_arith(a, b, "pow")
+        f.div(a, np.zeros_like(a))
+    with pytest.raises(DivisionByZero):
+        f.div(1, np.array([1, 0]))
 
 
 def test_specs_with_equal_order_interchangeable():

@@ -62,6 +62,11 @@ def test_enumerate_subspaces_examples():
     planes = list(enumerate_subspaces(f2, 4, 2))
     assert len(planes) == qbinom(4, 2, 2) == 35
     assert len(set(planes)) == 35  # canonical forms, each exactly once
+    for c in list(enumerate_subspaces(field_make(2, 2), 4, 2)) + planes:
+        # an int64 basis of its own, read-only and canonical, not a view into a block
+        data = c.basis.data
+        assert data.dtype == np.int64 and data.base is None and not data.flags.writeable
+        assert code_from_matrix(c.basis).basis == c.basis
     with pytest.raises(BudgetExceeded):
         list(enumerate_subspaces(f2, 60, 30))
 
@@ -260,8 +265,9 @@ FULL_PAIRS_LIMIT = 1 << 13  # pairs the full reference enumeration ranks per poi
 
 
 def _full_blocks(field, n, k, model):
+    # int64, so that the reference ranks wide arrays whatever dtype the oracle uses
     pivots = oracle._pivot_sets(n, k, model)
-    return np.concatenate(list(oracle._subspace_blocks(field, n, k, 1 << 15, pivots)))
+    return np.concatenate(list(oracle._subspace_blocks(field, n, k, 1 << 15, pivots))).astype(np.int64)
 
 
 def _full_histogram(field, stat, size, g1, g2):
