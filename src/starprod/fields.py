@@ -49,7 +49,8 @@ def _mod(x: np.ndarray, q: int) -> np.ndarray:
     """x % q for an integer array x, as a new array, computed as
     x - (x // q) * q: the same residues, and about half the time on arrays
     that fit in cache, since numpy divides by a scalar through libdivide
-    for // but not for %."""
+    for // but not for %.  Exact in any signed dtype holding x and q: the
+    product may wrap, but the wrap cancels modulo 2**bits (the residue fits)."""
     t = x // q
     t *= q
     return np.subtract(x, t, out=t)
@@ -120,7 +121,7 @@ class FieldSpec:
         self._dtype = np.dtype(np.int64)
         if m == 1:
             self._dtype = np.min_scalar_type((q - 1) ** 2)
-            # inv[a] for a >= 1 via the standard recurrence; inv[0] unused
+            # inv[a] for a >= 1 via the standard recurrence; inv[0] = 0, as on every field
             inv = np.zeros(q, dtype=np.int64)
             inv[1] = 1
             for a in range(2, q):

@@ -10,11 +10,12 @@ enumeration code: it eliminates a whole (batch, rows, cols) tensor at
 once, which is one to two orders of magnitude faster than per-matrix
 calls at the sizes this package cares about.  It steps over the shorter
 side (transposing wide batches), works on one column-major private copy,
-marks pivot rows in place of swapping them, and over prime fields defers
-``% q`` to the pivot column and row, which bounds every entry and lets
-the copy use the narrowest integer dtype that holds the bound.  Extension
-fields up to q = 256 eliminate on a uint8 copy through the FieldSpec's
-q*q mul table; larger ones on an int64 copy.
+marks pivot rows in place of swapping them and reaches them by flat
+lane-major indices.  Over prime fields it reduces only the pivot column
+and row, by floor division (fields._mod), never ``%``, which bounds every
+entry and lets the copy use the narrowest integer dtype holding the
+bound.  Extension fields up to q = 256 eliminate on a uint8 copy through
+the FieldSpec's q*q mul table; larger ones on an int64 copy.
 """
 
 from __future__ import annotations
@@ -218,13 +219,20 @@ def rank_many(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
     one contiguous block.  Rows are never swapped: a boolean mask marks the
     pivot rows, each pivot is the first unmarked row with a nonzero entry,
     and only unmarked rows are eliminated; the rank is the number marked.
+    The mask is flat and lane-major, so lane b's pivot, b * rows + its
+    argmax, is marked and its value and row read by 1-D takes and puts.
+    Its inverse is read straight from _inv: _inv[0] = 0 scales a lane
+    without a pivot by 0, and that lane eliminates nothing anyway.
 
     Prime fields defer reduction: a step reduces only the pivot column and
-    the pivot row, and the rest loses a product of two values in [0, q)
-    with no ``% q``.  An entry loses at most steps - 1 such products, so
-    it stays in [-(steps - 1)(q - 1)^2, q - 1], and the copy takes the
-    narrowest signed integer dtype holding that range (int8 for GF(2) up
-    to 129 steps; int64 is enough for any q <= 2^16 and side <= 4096).
+    the pivot row, by fields._mod (no ``%``), and the rest loses a product
+    of two values in [0, q) unreduced.  An entry loses at most steps - 1
+    such products, so it stays in [low, q - 1], low = -(steps - 1)(q - 1)^2,
+    and the copy takes the narrowest signed integer dtype holding that range
+    (int8 for GF(2) up to 129 steps; int64 is enough for any q <= 2^16 and
+    side <= 4096).  A reduced pivot-row entry times the inverse, at most
+    (q - 1)^2, fits too: a step that scales has -low >= (q - 1)^2 (steps
+    >= 2), and the dtype's -min, an odd power of two, is no square.
     Extension fields use the FieldSpec arithmetic, which keeps entries in
     [0, q): the copy is uint8 up to q = 256, where mul is one q*q table
     lookup, and int64 above.  Subtraction is XOR for p = 2; for odd p the
@@ -243,30 +251,31 @@ def rank_many(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
     dtype = np.min_scalar_type(-max((steps - 1) * (q - 1) ** 2, q)) if prime else field._dtype
     m = np.array(mats.transpose(2, 0, 1) if R >= C else mats.transpose(1, 0, 2), dtype=dtype, order="C")
     prod = np.empty_like(m[1:]) if prime else None
-    used = np.zeros(m.shape[1:], dtype=bool)
-    bidx = np.arange(B)
+    used = np.zeros(m[0].size, dtype=bool)
+    base = np.arange(0, used.size, m.shape[2])
     for c in range(steps):
-        col = m[c] % q if prime else m[c]
-        cand = (col != 0) & ~used
-        piv = cand.argmax(axis=1)
-        has = cand[bidx, piv]
+        col = _mod(m[c], q) if prime else m[c]
+        cand = col.ravel() != 0
+        cand &= ~used
+        flat = cand.reshape(B, -1).argmax(axis=1) + base
+        has = cand.take(flat)
         if not has.any():
             continue
-        used[bidx, piv] |= has
+        used[flat] |= has
         if c + 1 == steps:
             break
-        cand[bidx, piv] = False
+        cand[flat] = False
         rest = m[c + 1 :]
-        pivinv = field.inv(np.where(has, col[bidx, piv], 1))
+        pivinv = field._inv.take(col.take(flat)).astype(dtype)
+        prow = rest.reshape(len(rest), -1).take(flat, axis=1)
+        elim = (col * cand.reshape(B, -1))[None]
         if prime:
-            prow = (rest[:, bidx, piv] % q * pivinv % q).astype(dtype)
             out = prod[: len(rest)]
-            np.multiply(prow[:, :, None], (col * cand)[None], out=out)
+            np.multiply(_mod(_mod(prow, q) * pivinv, q)[:, :, None], elim, out=out)
             rest -= out
         else:
-            prow = field.mul(rest[:, bidx, piv], pivinv.astype(dtype))
-            rest[...] = field.sub(rest, field.mul(prow[:, :, None], (col * cand)[None]))
-    return used.sum(axis=1, dtype=np.int64)
+            rest[...] = field.sub(rest, field.mul(field.mul(prow, pivinv)[:, :, None], elim))
+    return used.reshape(B, -1).sum(axis=1, dtype=np.int64)
 
 
 # -- text format ------------------------------------------------------------

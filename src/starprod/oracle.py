@@ -53,7 +53,7 @@ from ._tally import dim_histogram, meet_dims, pair_stat, star_dims
 from .codes import LinearCode, code_from_matrix
 from .errors import BadRange, BudgetExceeded, NotMonomial, TooLarge
 from .exact import Params, RandomModel, qbinom
-from .fields import FieldSpec, field_from_order
+from .fields import FieldSpec, _mod, field_from_order
 from .matrices import Mat, _rref_cells, mat_mul, rank_many
 
 DEFAULT_BUDGET = 2**26
@@ -160,7 +160,7 @@ def _orbit_blocks(field: FieldSpec, n: int, k: int, block: int, pivot_sets) -> I
         for orbits in _digit_blocks(starts[heights[cols]].tolist(), block):
             value = orbits + shift[np.searchsorted(starts, orbits, side="right")]
             mats = np.broadcast_to(base, (len(orbits), k, n)).copy()
-            mats[:, rows, cell_cols] = value[:, cell_t] // place % q
+            mats[:, rows, cell_cols] = _mod(value[:, cell_t] // place, q)
             yield mats, np.count_nonzero(orbits, axis=1)
 
 

@@ -260,10 +260,12 @@ def test_non_primitive_modulus_raises(monkeypatch):
         FieldSpec(2, 4)
 
 
-@pytest.mark.parametrize("q", DTYPE_Q)
+@pytest.mark.parametrize("q", sorted(set(SMALL_Q + DTYPE_Q)))
 def test_neg_and_inv_tables_cover_every_element(q):
     f = field_from_order(q)
     elems = np.arange(q)
+    # rank_many reads _inv unchecked: a lane without a pivot scales by _inv[0]
+    assert f._inv[0] == 0
     assert (f.add(elems, f.neg(elems)) == 0).all()
     assert (f.mul(elems[1:], f.inv(elems[1:])) == 1).all()
 

@@ -143,12 +143,13 @@ RANK_QS = (2, 3, 5, 7, 251, 65521, 4, 8, 9, 16, 27, 243, 256, 729)
 
 
 @st.composite
-def rank_batches(draw):
-    """(field, batch): any of batch, rows, cols may be 0; dense, sparse
-    (mostly zeros) or with the first rows repeated (rank deficient); the
-    batch is uint8 or int64 when q <= 256, int64 above."""
+def rank_batches(draw, sizes=st.integers(0, 4), side=7):
+    """(field, batch): a batch size drawn from sizes, rows and cols up to
+    side, any of them may be 0; dense, sparse (mostly zeros) or with the
+    first rows repeated (rank deficient); the batch is uint8 or int64 when
+    q <= 256, int64 above."""
     q = draw(st.sampled_from(RANK_QS))
-    shape = draw(st.tuples(st.integers(0, 4), st.integers(0, 7), st.integers(0, 7)))
+    shape = draw(st.tuples(sizes, st.integers(0, side), st.integers(0, side)))
     kind = draw(st.sampled_from(("dense", "sparse", "duplicate")))
     entries = st.integers(0, q - 1)
     fill = st.just(0) if kind == "sparse" else entries
@@ -170,6 +171,15 @@ def test_rank_many_equals_rref_rank_property(case):
     assert got.tolist() == [rank(Mat(f, b)) for b in batch]
 
 
+# batch sizes on both sides of 64 and 128 lanes, so that the flat lane-major
+# pivot indices of rank_many cross several lanes of a wide batch
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rank_batches(st.sampled_from((1, 63, 64, 65, 129)), 14))
+def test_rank_many_wide_batches_property(case):
+    f, batch = case
+    assert rank_many(f, batch).tolist() == [rank(Mat(f, b)) for b in batch]
+
+
 def _deferred_bound_worst_case(q, s, dependent):
     """An s x s matrix whose last entry loses (q-1)^2 at each of the s-1
     elimination steps, the most the deferred reduction allows: rows
@@ -183,11 +193,26 @@ def _deferred_bound_worst_case(q, s, dependent):
     return a
 
 
+def _scaled_pivot_row_case(q, s):
+    """An s x s matrix of rank s - 1 whose pivot at step s - 2 is q - 1, on
+    a row that lost (q-1)^2 at each earlier step: rows e_i + (q-1) e_{s-1}
+    for i < s-2, then the row (q-1, ..., q-1, 0) twice.  Only after its
+    reduction may that row be scaled by the inverse q - 1: unreduced, the
+    product -(s-2)(q-1)^3 can leave the deferred bound's dtype."""
+    a = np.zeros((s, s), dtype=np.int64)
+    a[np.arange(s - 2), np.arange(s - 2)] = 1
+    a[: s - 2, -1] = q - 1
+    a[s - 2 :, :-1] = q - 1
+    return a
+
+
 # Shorter-side lengths on both sides of each dtype switch of the deferred
 # bound (s - 1)(q - 1)^2: int8 -> int16 for GF(2), GF(3), GF(7); int16 ->
-# int32 for GF(251); int32 -> int64 for GF(65521).  Over GF(2) wraparound
-# modulo 2^8 keeps parity, so no input can expose an int8 overflow there.
-@pytest.mark.parametrize("q,s", [(2, 129), (2, 130), (3, 33), (3, 34), (7, 4), (7, 5), (251, 1), (251, 2), (65521, 1), (65521, 2), (65521, 3)])
+# int32 for GF(251); int32 -> int64 for GF(65521).  GF(13) switches int8
+# -> int16 at 2 steps, the first at which the scaled pivot row's (q - 1)^2
+# = 144 must fit.  Over GF(2) wraparound modulo 2^8 keeps parity, so no
+# input can expose an int8 overflow there.
+@pytest.mark.parametrize("q,s", [(2, 129), (2, 130), (3, 33), (3, 34), (7, 4), (7, 5), (13, 1), (13, 2), (251, 1), (251, 2), (65521, 1), (65521, 2), (65521, 3)])
 def test_rank_many_dtype_boundaries(q, s):
     f = field_make(q)
     rng = np.random.default_rng(s)
@@ -195,10 +220,11 @@ def test_rank_many_dtype_boundaries(q, s):
         _deferred_bound_worst_case(q, s, dependent=True),
         _deferred_bound_worst_case(q, s, dependent=False),
         np.full((s, s), q - 1),
+        _scaled_pivot_row_case(q, s),
         *rng.integers(0, q, size=(3, s, s)),
     ]
     want = [rank(Mat(f, a)) for a in square]
-    assert want[:3] == [s - 1, s, 1]
+    assert want[:4] == [s - 1, s, 1, s - 1]
     tall = np.stack([np.vstack([a, np.zeros((1, s), dtype=np.int64)]) for a in square])
     assert rank_many(f, np.stack(square)).tolist() == want
     assert rank_many(f, tall).tolist() == want
