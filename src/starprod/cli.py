@@ -151,13 +151,15 @@ def _oracle_zerodiag(args):
 
 
 def _oracle_intersection(args):
-    for q in (2, 3):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         if q > args.qmax:
             continue
         for n in range(1, args.nmax + 1):
             for k1 in range(1, n + 1):
                 for k2 in range(k1, n + 1):
                     p = exact.Params(q=q, n=n, k1=k1, k2=k2)
+                    if exact.qbinom(n, k1, q) * exact.qbinom(n, k2, q) > oracle.DEFAULT_BUDGET:
+                        continue
                     yield (
                         f"intersection q={q} n={n} k1={k1} k2={k2}",
                         exact.expected_intersection_dim(p) == oracle.exact_expected_intersection(p),

@@ -23,16 +23,17 @@ have topmost nonzero entry 1, each with z, its number of nonzero
 non-pivot columns: it stands for (q-1)**z bases.  Histograms are keyed
 by (z, dim) and weighted with Python ints at the end, so results stay
 exact.  The star-dimension and kernel oracles reduce both sides and the
-fixed-code oracle its enumerated side.  The intersection oracle reduces
-only its outer side, because the intersection is invariant under joint
-scaling only (see exact_expected_intersection).  At q = 2 every orbit is
-a single basis and nothing is saved.  _orbit_blocks decodes the
-representatives through one shift table per call and builds them in
-field._dtype, like _subspace_blocks and the fixed code's basis, so the
-star and meet products run on the narrow arrays rank_many reduces.
+fixed-code oracle its enumerated side.  The intersection oracle is the
+fixed-code oracle of the one outer subspace C0 = rowspace [I_k1 | 0]:
+GL(n) is transitive on k1-subspaces, and diagonal maps fix C0 (see
+exact_expected_intersection).  At q = 2 every orbit is a single basis
+and nothing is saved.  _orbit_blocks decodes the representatives through
+one shift table per call and builds them in field._dtype, like
+_subspace_blocks and the fixed basis, so the star and meet products run
+on the narrow arrays rank_many reduces.
 
-Every pair oracle runs through _orbit_histogram on the calling thread;
-the fixed-code oracle's outer side is the one basis of C.
+Every oracle runs through _orbit_histogram on the calling thread;
+_fixed_histogram's outer side is one basis, that of C or of C0.
 
 An EnumBudget is charged the number of pairs (or subspaces) represented,
 not the number of orbit representatives ranked, so an oracle call raises
@@ -183,11 +184,16 @@ def _packed(pieces, rows: int) -> Iterator[tuple]:
         yield concat(buf)
 
 
-def _orbit_histogram(field: FieldSpec, stat, size: int, z_max: int, outer, inner_blocks) -> list:
+def _orbit_histogram(field: FieldSpec, stat, size: int, z_max: int, outer, n: int, k: int, pivots) -> list:
     """Exact histogram of stat over the pairs of a row of an outer (g1, z1)
-    batch and a row of an inner (g2, z2) block from inner_blocks().  A pair
-    stands for (q-1)**(z1 + z2) pairs, counted by the key z*size + dim and
-    weighted at the end; stat sees about _PAIR_BLOCK pairs a call."""
+    batch and an inner (g2, z2) orbit representative of the k-dim subspaces
+    of F_q^n with the given pivot sets.  A pair stands for (q-1)**(z1 + z2)
+    pairs, counted by the key z*size + dim and weighted at the end; stat
+    sees about _PAIR_BLOCK pairs a call."""
+
+    def inner_blocks():
+        return _packed(_orbit_blocks(field, n, k, _SUBSPACE_BLOCK, pivots), _SUBSPACE_BLOCK)
+
     first = inner_blocks()
     head = list(itertools.islice(first, 2))
     # an inner side that fits one block is built once; otherwise the first
@@ -250,64 +256,46 @@ def _rref_codes(field: FieldSpec, n: int, k: int, model: RandomModel) -> Iterato
                 yield LinearCode(field, Mat._trusted(field, mat.astype(np.int64)), pivots)
 
 
-def _pair_histogram(p: Params, model: RandomModel, stat, budget, reduce_inner: bool = True) -> tuple:
-    """Exact histogram of stat (see _tally.pair_stat) over every generator
-    pair of the model, with the pair count.  The outer side runs over
-    column-scaling orbits, and so does the inner side when reduce_inner is
-    set (see the module docstring)."""
+def _pair_histogram(p: Params, model: RandomModel, budget) -> tuple:
+    """Exact star-dimension histogram over every generator pair of the
+    model, with the pair count.  Both sides run over column-scaling orbits
+    (see the module docstring)."""
     field = field_from_order(p.q)
-    stat, size = pair_stat(p, model, stat)
+    stat, size = pair_stat(p, model, star_dims)
     if model is RandomModel.SYSTEMATIC:
         count = systematic_count(p.q, p.n, p.k1) * systematic_count(p.q, p.n, p.k2)
     else:
         count = qbinom(p.n, p.k1, p.q) * qbinom(p.n, p.k2, p.q)
     _budget(budget).charge(count)
-    inner_pivots = _pivot_sets(p.n, p.k2, model)
-
-    def inner_blocks():
-        if reduce_inner:
-            pieces = _orbit_blocks(field, p.n, p.k2, _SUBSPACE_BLOCK, inner_pivots)
-        else:
-            blocks = _subspace_blocks(field, p.n, p.k2, _SUBSPACE_BLOCK, inner_pivots)
-            pieces = ((g, np.zeros(len(g), dtype=np.int64)) for g in blocks)
-        return _packed(pieces, _SUBSPACE_BLOCK)
-
-    z_max = p.n - p.k1 + (p.n - p.k2 if reduce_inner else 0)
     outer_pivots = _pivot_sets(p.n, p.k1, model)
     outer = _packed(_orbit_blocks(field, p.n, p.k1, _OUTER_BLOCK, outer_pivots), _OUTER_BLOCK)
-    return _orbit_histogram(field, stat, size, z_max, outer, inner_blocks), count
+    inner_pivots = _pivot_sets(p.n, p.k2, model)
+    z_max = 2 * p.n - p.k1 - p.k2
+    return _orbit_histogram(field, stat, size, z_max, outer, p.n, p.k2, inner_pivots), count
 
 
 def exact_expected_kernel(p: Params, budget=None) -> Fraction:
     """Exact average kernel size of the bilinear evaluation map over all
     systematic generator pairs: per pair the kernel size is
     q**(k1*k2 - star dimension)."""
-    hist, count = _pair_histogram(p, RandomModel.SYSTEMATIC, star_dims, budget)
+    hist, count = _pair_histogram(p, RandomModel.SYSTEMATIC, budget)
     kk = p.k1 * p.k2
     return Fraction(sum(c * p.q ** (kk - d) for d, c in enumerate(hist)), count)
 
 
 def exact_expected_star_dim(p: Params, model: RandomModel, budget=None) -> Fraction:
     """Exact average star dimension over all pairs under the model."""
-    return _mean(*_pair_histogram(p, model, star_dims, budget))
+    return _mean(*_pair_histogram(p, model, budget))
 
 
-def _fixed_histogram(c: LinearCode, ell: int, budget) -> tuple:
-    """Exact histogram of dim(C star D) over all ell-dim subspaces D, D
-    running over column-scaling orbits, with the subspace count.  C is the
-    one outer batch of _orbit_histogram."""
-    field = c.field
-    _check_dims(c.n, ell)
-    count = qbinom(c.n, ell, field.q)
-    _budget(budget).charge(count)
-    pivots = _pivot_sets(c.n, ell, RandomModel.UNIFORM_SUBSPACE)
-
-    def inner_blocks():
-        return _packed(_orbit_blocks(field, c.n, ell, _SUBSPACE_BLOCK, pivots), _SUBSPACE_BLOCK)
-
-    size = min(c.k * ell, c.n) + 1
-    outer = [(c.basis.data.astype(field._dtype)[None], np.zeros(1, dtype=np.int64))]
-    return _orbit_histogram(field, star_dims, size, c.n - ell, outer, inner_blocks), count
+def _fixed_histogram(field: FieldSpec, basis: np.ndarray, ell: int, stat) -> list:
+    """Exact histogram of stat over the pairs of a (k, n) basis, the single
+    outer batch of _orbit_histogram, and every ell-dim subspace D, D
+    running over column-scaling orbits.  The caller charges the budget."""
+    k, n = basis.shape
+    outer = [(basis.astype(field._dtype)[None], np.zeros(1, dtype=np.int64))]
+    pivots = _pivot_sets(n, ell, RandomModel.UNIFORM_SUBSPACE)
+    return _orbit_histogram(field, stat, min(k * ell, n) + 1, n - ell, outer, n, ell, pivots)
 
 
 def exact_expected_star_dim_fixed(
@@ -318,19 +306,29 @@ def exact_expected_star_dim_fixed(
     threads is accepted for callers that pass it; the enumeration is not
     split and runs on the calling thread whatever its value.
     """
-    return _mean(*_fixed_histogram(c, ell, budget))
+    _check_dims(c.n, ell)
+    count = qbinom(c.n, ell, c.field.q)
+    _budget(budget).charge(count)
+    return _mean(_fixed_histogram(c.field, c.basis.data, ell, star_dims), count)
 
 
 def exact_expected_intersection(p: Params, budget=None) -> Fraction:
-    """Exact average of dim(C1 meet C2) over all subspace pairs.
+    """Exact average of dim(C1 meet C2) over all subspace pairs: that of
+    dim(C0 meet D) over all k2-subspaces D, for the one outer subspace
+    C0 = rowspace [I_k1 | 0], D running over column-scaling orbits.
 
-    Only the outer side C1 runs over column-scaling orbits.  That is
-    exact: for an invertible diagonal T, dim(C1 T meet C2) = dim(C1 meet
-    C2 T^-1), and C2 -> C2 T^-1 permutes the k2-subspaces, so C1 T and C1
-    have the same histogram over all C2.  Scaling C2 alone is not allowed,
-    since the intersection is invariant only under joint scaling.
+    * x -> xA maps C1 meet C2 A^-1 onto C1 A meet C2 for an invertible A,
+      and C2 -> C2 A^-1 permutes the k2-subspaces, so C1 A and C1 have the
+      same histogram over all C2.  GL(n) is transitive on k1-subspaces (a
+      basis of C1 extends to one of F_q^n), so every C1 has that of C0.
+    * An invertible diagonal T only scales the unit rows of [I_k1 | 0], so
+      C0 T = C0 and dim(C0 meet D T) = dim(C0 T meet D T) = dim(C0 meet D).
+
+    The budget is charged the qbinom(n,k1,q)*qbinom(n,k2,q) pairs represented.
     """
-    return _mean(*_pair_histogram(p, RandomModel.UNIFORM_SUBSPACE, meet_dims, budget, reduce_inner=False))
+    inner = qbinom(p.n, p.k2, p.q)
+    _budget(budget).charge(qbinom(p.n, p.k1, p.q) * inner)
+    return _mean(_fixed_histogram(field_from_order(p.q), np.eye(p.k1, p.n), p.k2, meet_dims), inner)
 
 
 @dataclass

@@ -170,7 +170,7 @@ def test_criterion_06_mds_formula_vs_enumeration():
 
 
 def test_criterion_07_intersection_formula_and_trend():
-    for q in (2, 4, 5, 7, 8):
+    for q in (2, 4, 5, 7, 8, 9):
         for n in range(1, 5):
             for k1 in range(1, n + 1):
                 for k2 in range(k1, n + 1):
@@ -178,7 +178,7 @@ def test_criterion_07_intersection_formula_and_trend():
                     assert expected_intersection_dim(p) == exact_expected_intersection(p), (q, n, k1, k2)
     vals = [expected_intersection_dim(Params(2, k * k, k, k)) for k in (2, 3, 4, 5)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    report("7", True, "intersection expectation = pair enumeration (q in {2,4,5,7,8}, n<=4); vanishing trend at n=k^2")
+    report("7", True, "intersection expectation = pair enumeration (q in {2,4,5,7,8,9}, n<=4); vanishing trend at n=k^2")
 
 
 def test_criterion_08a_kernel_gap_strictly_decreasing():

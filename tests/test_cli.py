@@ -201,6 +201,15 @@ def test_example_mds_builtin_names(capsys):
     assert f"{e1.numerator}/{e1.denominator}" in out
 
 
+def test_oracle_intersection_grid_skips_points_above_budget(capsys):
+    # (2, 7, 3, 3) represents 139,499,721 pairs, above the default budget
+    code, out, _ = run(capsys, "oracle", "--check", "intersection", "--qmax", "2", "--nmax", "7")
+    assert code == 0 and "FAIL" not in out and "all checks passed" in out
+    assert "PASS intersection q=2 n=7 k1=2 k2=7" in out and "q=2 n=7 k1=3 k2=3" not in out
+    code, out, _ = run(capsys, "oracle", "--check", "intersection", "--qmax", "9", "--nmax", "4")
+    assert code == 0 and "PASS intersection q=9 n=4 k1=2 k2=2" in out
+
+
 def test_oracle_support_check(capsys):
     code, out, _ = run(capsys, "oracle", "--check", "support", "--qmax", "2", "--nmax", "3")
     assert code == 0 and "all checks passed" in out

@@ -289,22 +289,34 @@ def _small_pair_points(model):
                         yield Params(q, n, k1, k2)
 
 
+def _one_outer_histogram(p, outer):
+    """The intersection oracle's orbit-weighted histogram over every
+    k2-subspace D of dim(outer meet D), outer a (k1, n) basis."""
+    return oracle._fixed_histogram(field_from_order(p.q), outer, p.k2, meet_dims)
+
+
 @pytest.mark.parametrize(
-    "model, stat, reduce_inner",
+    "model, stat",
     [
-        (RandomModel.SYSTEMATIC, star_dims, True),
-        (RandomModel.UNIFORM_SUBSPACE, star_dims, True),
-        (RandomModel.UNIFORM_SUBSPACE, meet_dims, False),
+        (RandomModel.SYSTEMATIC, star_dims),
+        (RandomModel.UNIFORM_SUBSPACE, star_dims),
+        (RandomModel.UNIFORM_SUBSPACE, meet_dims),
     ],
     ids=["star-systematic", "star-uniform", "intersection"],
 )
-def test_orbit_pair_histograms_equal_full_enumeration(model, stat, reduce_inner):
-    # the star-dim and kernel oracles share the star-dim histogram
+def test_orbit_pair_histograms_equal_full_enumeration(model, stat):
+    # the star-dim and kernel oracles share the star-dim histogram; the
+    # intersection oracle's one outer subspace stands for all k1-subspaces
     points = list(_small_pair_points(model))
     assert {p.q for p in points} == set(ORBIT_QS)
     for p in points:
         field = field_from_order(p.q)
-        hist, count = oracle._pair_histogram(p, model, stat, None, reduce_inner)
+        if stat is star_dims:
+            hist, count = oracle._pair_histogram(p, model, None)
+        else:
+            one = _one_outer_histogram(p, np.eye(p.k1, p.n))
+            hist = [qbinom(p.n, p.k1, p.q) * c for c in one]
+            count = qbinom(p.n, p.k1, p.q) * qbinom(p.n, p.k2, p.q)
         g1 = _full_blocks(field, p.n, p.k1, model)
         g2 = _full_blocks(field, p.n, p.k2, model)
         assert len(g1) * len(g2) == count
@@ -313,6 +325,7 @@ def test_orbit_pair_histograms_equal_full_enumeration(model, stat, reduce_inner)
 
 
 def test_orbit_fixed_histograms_equal_full_enumeration():
+    # the fixed-code oracle's C, and the intersection oracle's C0 = [I_k | 0]
     rng = np.random.default_rng(7)
     checked = set()
     for q in ORBIT_QS:
@@ -324,13 +337,43 @@ def test_orbit_fixed_histograms_equal_full_enumeration():
                     count = qbinom(n, ell, q)
                     if count > FULL_PAIRS_LIMIT:
                         continue
-                    hist, got = oracle._fixed_histogram(code, ell, None)
                     g2 = _full_blocks(field, n, ell, RandomModel.UNIFORM_SUBSPACE)
-                    assert got == count == len(g2)
-                    assert hist == _full_histogram(field, star_dims, len(hist), code.basis.data[None], g2)
-                    assert sum(hist) == count
+                    assert count == len(g2)
+                    for basis, stat in [(code.basis.data, star_dims), (np.eye(k, n, dtype=np.int64), meet_dims)]:
+                        hist = oracle._fixed_histogram(field, basis, ell, stat)
+                        assert hist == _full_histogram(field, stat, len(hist), basis[None], g2)
+                        assert sum(hist) == count
                     checked.add(q)
     assert checked == set(ORBIT_QS)
+
+
+def test_intersection_histogram_same_for_every_outer_subspace():
+    # GL(n) is transitive on k1-subspaces: the unreduced histogram of
+    # dim(C meet D) over every D, for a random C that no diagonal map
+    # fixes, equals the one-outer orbit-weighted histogram of [I_k1 | 0]
+    rng = np.random.default_rng(11)
+    checked = 0
+    for p in _small_pair_points(RandomModel.UNIFORM_SUBSPACE):
+        if p.q == 2 or p.k1 == p.n:
+            continue  # every subspace is then torus-fixed
+        field = field_from_order(p.q)
+        while True:
+            c = random_code(field, p.n, p.k1, rng)
+            if c.k == p.k1 and np.delete(c.basis.data, c.pivots, axis=1).any():
+                break  # full rank, and not spanned by unit vectors
+        one = _one_outer_histogram(p, np.eye(p.k1, p.n))
+        g2 = _full_blocks(field, p.n, p.k2, RandomModel.UNIFORM_SUBSPACE)
+        assert _full_histogram(field, meet_dims, len(one), c.basis.data[None], g2) == one, p
+        checked += 1
+    assert checked > 50
+
+
+def test_intersection_histogram_same_for_torus_fixed_outer_subspaces():
+    # diagonal maps fix the span of any k1 unit vectors, so the last k1
+    # give the same orbit-weighted histogram as the first k1
+    for p in _small_pair_points(RandomModel.UNIFORM_SUBSPACE):
+        last = np.eye(p.k1, p.n, p.n - p.k1)
+        assert _one_outer_histogram(p, last) == _one_outer_histogram(p, np.eye(p.k1, p.n)), p
 
 
 def test_orbit_blocks_cover_every_basis_once():
@@ -392,10 +435,11 @@ def test_orbit_oracles_reach_new_ground_truth():
         count = systematic_count(p.q, p.n, p.k1) * systematic_count(p.q, p.n, p.k2)
         assert count > DEFAULT_BUDGET
         assert exact_expected_kernel(p, budget=EnumBudget(count)) == expected_kernel_size(p)
-    for p in (Params(5, 4, 2, 2), Params(7, 4, 2, 2)):
-        count = qbinom(p.n, p.k1, p.q) * qbinom(p.n, p.k2, p.q)
-        want = expected_intersection_dim(p)
-        assert exact_expected_intersection(p, budget=EnumBudget(count)) == want
+    for t in [(5, 4, 2, 2), (7, 4, 2, 2), (9, 4, 2, 2), (16, 4, 2, 2), (5, 5, 2, 3), (7, 5, 2, 2)]:
+        p = Params(*t)
+        budget = EnumBudget(qbinom(p.n, p.k1, p.q) * qbinom(p.n, p.k2, p.q))
+        assert exact_expected_intersection(p, budget=budget) == expected_intersection_dim(p)
+        assert budget.observed == budget.max_items
 
 
 def test_budget_charges_items_represented():
@@ -433,7 +477,7 @@ def test_orbit_indices_beyond_int64_raise_too_large():
     with pytest.raises(TooLarge):
         exact_expected_star_dim(p, RandomModel.UNIFORM_SUBSPACE, budget=huge)
     with pytest.raises(TooLarge):
-        exact_expected_intersection(Params(7, 14, 2, 2), budget=huge)
+        exact_expected_intersection(p, budget=huge)
     code = random_code(field_make(7), 22, 3, np.random.default_rng(1))
     with pytest.raises(TooLarge):
         exact_expected_star_dim_fixed(code, 2, budget=huge)
@@ -446,10 +490,10 @@ def test_oracle_histograms_independent_of_block_sizes(monkeypatch, subspace_bloc
     rng = np.random.default_rng(3)
     code = random_code(field_from_order(5), 5, 2, rng)
     points = [
-        lambda: oracle._fixed_histogram(code, 2, None),
-        lambda: oracle._pair_histogram(Params(3, 4, 2, 2), RandomModel.SYSTEMATIC, star_dims, None),
-        lambda: oracle._pair_histogram(Params(4, 4, 2, 2), RandomModel.UNIFORM_SUBSPACE, star_dims, None),
-        lambda: oracle._pair_histogram(Params(3, 4, 2, 2), RandomModel.UNIFORM_SUBSPACE, meet_dims, None, False),
+        lambda: oracle._fixed_histogram(code.field, code.basis.data, 2, star_dims),
+        lambda: oracle._pair_histogram(Params(3, 4, 2, 2), RandomModel.SYSTEMATIC, None),
+        lambda: oracle._pair_histogram(Params(4, 4, 2, 2), RandomModel.UNIFORM_SUBSPACE, None),
+        lambda: _one_outer_histogram(Params(3, 4, 2, 2), np.eye(2, 4)),
     ]
     built = []
     orbit_blocks = oracle._orbit_blocks
