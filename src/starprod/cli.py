@@ -6,23 +6,25 @@ limit-q, apps {pir,sdmm,csst}, example-mds.  Exit codes: 0 success,
 exceeded, 4 I/O error.  Exact rationals print as num/den plus a decimal
 rendering to 10 significant digits; estimates and app reports print as
 JSON.  STARPROD_THREADS overrides --threads when the flag is absent;
-example-mds accepts --threads and ignores it.
+example-mds accepts --threads and ignores it.  oracle runs q in
+{2, 3, 4, 5, 7, 8, 9} up to --qmax and skips any grid point whose
+enumeration exceeds oracle.DEFAULT_BUDGET instead of exiting 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from collections import Counter
 from fractions import Fraction
 
 from . import apps, catalog, exact, oracle, sampling
-from .codes import code_from_matrix, is_mds, support
+from .codes import code_from_matrix, is_mds
 from .errors import BudgetExceeded, StarprodError
 from .exact import RandomModel
-from .fields import field_make
+from .fields import field_from_order
 from .matrices import load_matrix, save_matrix
 
 
@@ -119,84 +121,67 @@ def cmd_table1(args) -> int:
     return 0
 
 
-def _oracle_kernel(args):
-    for q in (2, 3, 5, 7):
-        if q > args.qmax:
-            continue
-        for n in range(1, args.nmax + 1):
-            for k1 in range(1, min(n, args.kmax) + 1):
-                for k2 in range(k1, min(n, args.kmax) + 1):
-                    p = exact.Params(q=q, n=n, k1=k1, k2=k2)
-                    pairs = oracle.systematic_count(q, n, k1) * oracle.systematic_count(q, n, k2)
-                    if pairs > oracle.DEFAULT_BUDGET:
-                        continue
-                    yield (
-                        f"kernel q={q} n={n} k1={k1} k2={k2}",
-                        exact.expected_kernel_size(p) == oracle.exact_expected_kernel(p),
-                    )
+# Each oracle check yields one zero-argument callable per GF(q) grid point, returning (label, ok).
+_ORACLE_FIELDS = (2, 3, 4, 5, 7, 8, 9)
+_MDS_POINTS = ((2, 3, 2), (3, 4, 2))  # (q, n, k1)
 
 
-def _oracle_zerodiag(args):
-    for q in (2, 3, 5, 7):
-        if q > args.qmax:
-            continue
-        for k1 in range(1, args.kmax + 1):
-            for k2 in range(k1, args.kmax + 2):
-                counts = oracle.count_zero_diag_oracle(k1, k2, q)
-                ok = True
-                for r in range(k1 + 1):
-                    if counts.by_rank.get(r, 0) != exact.count_zero_diag_rank(k1, k2, r, q):
-                        ok = False
-                yield f"zerodiag q={q} k1={k1} k2={k2}", ok
+def _param_points(args, q, name, kmax, enumerate_, formula):
+    def point(p):
+        return f"{name} q={q} n={p.n} k1={p.k1} k2={p.k2}", enumerate_(p) == formula(p)
+
+    for n in range(1, args.nmax + 1):
+        for k1 in range(1, min(n, kmax) + 1):
+            for k2 in range(k1, min(n, kmax) + 1):
+                yield functools.partial(point, exact.Params(q=q, n=n, k1=k1, k2=k2))
 
 
-def _oracle_intersection(args):
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        if q > args.qmax:
-            continue
-        for n in range(1, args.nmax + 1):
-            for k1 in range(1, n + 1):
-                for k2 in range(k1, n + 1):
-                    p = exact.Params(q=q, n=n, k1=k1, k2=k2)
-                    if exact.qbinom(n, k1, q) * exact.qbinom(n, k2, q) > oracle.DEFAULT_BUDGET:
-                        continue
-                    yield (
-                        f"intersection q={q} n={n} k1={k1} k2={k2}",
-                        exact.expected_intersection_dim(p) == oracle.exact_expected_intersection(p),
-                    )
+def _oracle_kernel(args, q):
+    return _param_points(args, q, "kernel", args.kmax, oracle.exact_expected_kernel, exact.expected_kernel_size)
 
 
-def _oracle_support(args):
-    for q in (2, 3):
-        if q > args.qmax:
-            continue
-        field = field_make(q)
-        for n in range(1, args.nmax + 1):
-            for ell in range(1, n + 1):
-                counts = Counter(len(support(c)) for c in oracle.enumerate_subspaces(field, n, ell))
-                ok = all(
-                    counts[s]
-                    == exact.binom(n, s) * exact.count_subspaces_with_support(q, n, ell, s)
-                    for s in range(n + 1)
-                )
-                yield f"support q={q} n={n} ell={ell}", ok
+def _oracle_intersection(args, q):
+    return _param_points(
+        args, q, "intersection", args.nmax, oracle.exact_expected_intersection, exact.expected_intersection_dim
+    )
 
 
-def _oracle_mds(args):
-    grid = [(2, 3, 2), (3, 4, 2)]
-    for q, n, k1 in grid:
-        if q > args.qmax or n > args.nmax:
-            continue
-        field = field_make(q)
-        codes_found = [c for c in oracle.enumerate_subspaces(field, n, k1) if is_mds(c)]
+def _oracle_zerodiag(args, q):
+    def point(k1, k2):
+        by_rank = oracle.count_zero_diag_oracle(k1, k2, q).by_rank
+        ok = all(by_rank.get(r, 0) == exact.count_zero_diag_rank(k1, k2, r, q) for r in range(k1 + 1))
+        return f"zerodiag q={q} k1={k1} k2={k2}", ok
+
+    for k1 in range(1, args.kmax + 1):
+        for k2 in range(k1, args.kmax + 2):
+            yield functools.partial(point, k1, k2)
+
+
+def _oracle_support(args, q):
+    def point(n, ell):
+        counts = oracle.count_support_oracle(q, n, ell)
+        want = [exact.binom(n, s) * exact.count_subspaces_with_support(q, n, ell, s) for s in range(n + 1)]
+        return f"support q={q} n={n} ell={ell}", counts == want
+
+    for n in range(1, args.nmax + 1):
+        for ell in range(1, n + 1):
+            yield functools.partial(point, n, ell)
+
+
+def _oracle_mds(args, q):
+    @functools.cache  # one enumeration serves every k2 of a point
+    def mds_codes(n, k1):
+        return [c for c in oracle.enumerate_subspaces(field_from_order(q), n, k1) if is_mds(c)]
+
+    def point(n, k1, k2):
+        dims = [oracle.exact_expected_star_dim_fixed(c, k2) for c in mds_codes(n, k1)]
+        ok = all(d == exact.expected_star_dim_mds(q, n, k1, k2) for d in dims)
+        return f"mds q={q} n={n} k1={k1} k2={k2} ({len(dims)} codes)", ok
+
+    for q_, n, k1 in _MDS_POINTS:
         for k2 in range(1, n + 1):
-            if not (k2 == 1 or k2 >= n - k1 + 1):
-                continue
-            want = exact.expected_star_dim_mds(q, n, k1, k2)
-            ok = all(
-                oracle.exact_expected_star_dim_fixed(c, k2) == want for c in codes_found
-            )
-            yield f"mds q={q} n={n} k1={k1} k2={k2} ({len(codes_found)} codes)", ok
+            if q_ == q and n <= args.nmax and (k2 == 1 or k2 >= n - k1 + 1):
+                yield functools.partial(point, n, k1, k2)
 
 
 def cmd_oracle(args) -> int:
@@ -210,9 +195,14 @@ def cmd_oracle(args) -> int:
     names = list(checks) if args.check == "all" else [args.check]
     failed = 0
     for name in names:
-        for label, ok in checks[name](args):
-            print(f"{'PASS' if ok else 'FAIL'} {label}")
-            failed += 0 if ok else 1
+        for q in (q for q in _ORACLE_FIELDS if q <= args.qmax):
+            for point in checks[name](args, q):
+                try:  # each point calls its oracle first, which charges its budget up front
+                    label, ok = point()
+                except BudgetExceeded:
+                    continue
+                print(f"{'PASS' if ok else 'FAIL'} {label}")
+                failed += 0 if ok else 1
     print(f"{'all checks passed' if failed == 0 else f'{failed} checks FAILED'}")
     return 0 if failed == 0 else 1
 

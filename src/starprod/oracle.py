@@ -331,6 +331,16 @@ def exact_expected_intersection(p: Params, budget=None) -> Fraction:
     return _mean(_fixed_histogram(field_from_order(p.q), np.eye(p.k1, p.n), p.k2, meet_dims), inner)
 
 
+def count_support_oracle(q: int, n: int, ell: int, budget=None) -> list:
+    """Number of ell-dim subspaces of F_q^n with support size s, for
+    s = 0..n, counted over their canonical RREF bases."""
+    _check_dims(n, ell)
+    _budget(budget).charge(qbinom(n, ell, q))
+    pivots = _pivot_sets(n, ell, RandomModel.UNIFORM_SUBSPACE)
+    blocks = _subspace_blocks(field_from_order(q), n, ell, _SUBSPACE_BLOCK, pivots)
+    return dim_histogram(n + 1, blocks, lambda mats: [mats.any(axis=1).sum(axis=1)])
+
+
 @dataclass
 class ZeroDiagCounts:
     """Exhaustive zero-diagonal matrix counts.
@@ -351,7 +361,7 @@ def count_zero_diag_oracle(k1: int, k2: int, q: int, budget=None) -> ZeroDiagCou
         raise BadRange(f"need 0 <= k1 <= k2, got k1={k1} k2={k2}")
     field = field_from_order(q)
     free = ~np.eye(k1, k2, dtype=bool)
-    _budget(budget).charge(_index_count([q] * int(free.sum())))
+    _budget(budget).charge(q ** int(free.sum()))  # _fillings raises TooLarge past int64
     w = k2 - k1
 
     def keys(mats):

@@ -210,9 +210,57 @@ def test_oracle_intersection_grid_skips_points_above_budget(capsys):
     assert code == 0 and "PASS intersection q=9 n=4 k1=2 k2=2" in out
 
 
-def test_oracle_support_check(capsys):
-    code, out, _ = run(capsys, "oracle", "--check", "support", "--qmax", "2", "--nmax", "3")
-    assert code == 0 and "all checks passed" in out
+def test_oracle_grid_runs_every_check_over_extension_fields(capsys):
+    code, out, _ = run(capsys, "oracle", "--check", "all", "--qmax", "9", "--nmax", "4", "--kmax", "2")
+    assert code == 0 and "FAIL" not in out and "all checks passed" in out
+    for check in ("kernel", "zerodiag", "intersection", "support"):
+        assert f"PASS {check} q=9 " in out, check
+
+
+def test_oracle_grid_skips_points_the_oracle_prices_above_its_budget(monkeypatch, capsys):
+    from starprod import oracle
+    from starprod.oracle import EnumBudget
+
+    real = oracle.count_zero_diag_oracle
+    monkeypatch.setattr(
+        oracle, "count_zero_diag_oracle", lambda k1, k2, q: real(k1, k2, q, budget=EnumBudget(3**6))
+    )
+    code, out, _ = run(capsys, "oracle", "--check", "zerodiag", "--qmax", "3", "--kmax", "3")
+    assert code == 0 and "FAIL" not in out
+    want = [
+        f"PASS zerodiag q={q} k1={k1} k2={k2}"
+        for q in (2, 3)
+        for k1 in range(1, 4)
+        for k2 in range(k1, 5)
+        if q ** (k1 * k2 - k1) <= 3**6
+    ]
+    assert out.splitlines() == want + ["all checks passed"]
+    assert len(want) < 2 * 9  # some points were skipped
+
+
+def test_oracle_support_check(monkeypatch, capsys):
+    # supports are counted over RREF blocks, with no code object per subspace
+    from starprod import oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-code enumeration")
+
+    monkeypatch.setattr(oracle, "enumerate_subspaces", refuse)
+    code, out, _ = run(capsys, "oracle", "--check", "support", "--qmax", "3", "--nmax", "5")
+    assert code == 0 and "FAIL" not in out and "all checks passed" in out
+    assert out.count("PASS support") == 2 * 15
+
+
+def test_oracle_grid_skips_only_budget_errors(monkeypatch, capsys):
+    from starprod import exact
+    from starprod.errors import BadRange
+
+    def bad_range(p):
+        raise BadRange("closed form refused")
+
+    monkeypatch.setattr(exact, "expected_kernel_size", bad_range)
+    code, out, err = run(capsys, "oracle", "--check", "kernel", "--qmax", "2", "--nmax", "2")
+    assert code == 2 and "closed form refused" in err and "PASS" not in out
 
 
 def test_failed_oracle_check_exit_code(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from starprod import (
     qbinom,
     star_dim_lower_bound,
     star_product,
+    support,
 )
 from starprod import oracle
 from starprod._tally import dim_histogram, meet_dims, star_dims
@@ -180,6 +182,17 @@ def test_count_zero_diag_oracle_matches_formulas():
                     assert c == count_zero_diag_rank_zerocols(k1, k2, r, len(cols), q)
 
 
+def test_count_support_oracle_matches_per_code_count():
+    # the block count equals counting supports one code object at a time
+    for q, nmax in [(2, 5), (3, 4), (4, 3), (9, 3)]:
+        f = field_from_order(q)
+        for n in range(1, nmax + 1):
+            for ell in range(1, n + 1):
+                want = Counter(len(support(c)) for c in enumerate_subspaces(f, n, ell))
+                got = oracle.count_support_oracle(q, n, ell)
+                assert got == [want[s] for s in range(n + 1)], (q, n, ell)
+
+
 def test_monomial_invariance():
     f2 = field_make(2)
     parity = code_from_matrix(Mat(f2, [[1, 0, 1], [0, 1, 1]]))
@@ -245,6 +258,9 @@ def test_enumerators_validate_dimensions():
         next(enumerate_systematic(f2, 3, 0))
     with pytest.raises(BadRange):
         next(enumerate_subspaces(f2, 3, 4))
+    for ell in (0, 4):
+        with pytest.raises(BadRange):
+            oracle.count_support_oracle(2, 3, ell)
 
 
 def test_enumeration_indices_beyond_int64_raise_too_large():
@@ -256,6 +272,9 @@ def test_enumeration_indices_beyond_int64_raise_too_large():
         exact_expected_star_dim(Params(2, 40, 2, 2), RandomModel.UNIFORM_SUBSPACE, budget=huge)
     with pytest.raises(TooLarge):
         count_zero_diag_oracle(8, 9, 2, budget=huge)
+    # the default budget refuses those 2**64 matrices before int64 indexing does
+    with pytest.raises(BudgetExceeded):
+        count_zero_diag_oracle(8, 9, 2)
 
 
 # -- column-scaling orbit reduction -------------------------------------------
@@ -459,6 +478,7 @@ def test_budget_charges_items_represented():
         (systematic_count(3, 4, 2), lambda b: list(enumerate_systematic(f3, 4, 2, budget=b))),
         (qbinom(4, 2, 3), lambda b: list(enumerate_subspaces(f3, 4, 2, budget=b))),
         (3**9, lambda b: count_zero_diag_oracle(3, 4, 3, budget=b)),
+        (qbinom(4, 2, 3), lambda b: oracle.count_support_oracle(3, 4, 2, budget=b)),
     ]
     for count, call in calls:
         budget = EnumBudget(max_items=count)
