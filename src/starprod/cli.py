@@ -7,8 +7,8 @@ exceeded, 4 I/O error.  Exact rationals print as num/den plus a decimal
 rendering to 10 significant digits; estimates and app reports print as
 JSON.  STARPROD_THREADS overrides --threads when the flag is absent;
 example-mds accepts --threads and ignores it.  oracle runs q in
-{2, 3, 4, 5, 7, 8, 9} up to --qmax and skips any grid point whose
-enumeration exceeds oracle.DEFAULT_BUDGET instead of exiting 3.
+{2, 3, 4, 5, 7, 8, 9} up to --qmax, skips grid points over
+oracle.DEFAULT_BUDGET instead of exiting 3, and exits 2 if it checks none.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import apps, catalog, exact, oracle, sampling
 from .codes import code_from_matrix, is_mds
-from .errors import BudgetExceeded, StarprodError
+from .errors import BadRange, BudgetExceeded, StarprodError
 from .exact import RandomModel
 from .fields import field_from_order
 from .matrices import load_matrix, save_matrix
@@ -193,7 +193,7 @@ def cmd_oracle(args) -> int:
         "mds": _oracle_mds,
     }
     names = list(checks) if args.check == "all" else [args.check]
-    failed = 0
+    checked = failed = 0
     for name in names:
         for q in (q for q in _ORACLE_FIELDS if q <= args.qmax):
             for point in checks[name](args, q):
@@ -202,7 +202,10 @@ def cmd_oracle(args) -> int:
                 except BudgetExceeded:
                     continue
                 print(f"{'PASS' if ok else 'FAIL'} {label}")
+                checked += 1
                 failed += 0 if ok else 1
+    if not checked:
+        raise BadRange("no oracle grid point was checked: the grid is empty or over the budget")
     print(f"{'all checks passed' if failed == 0 else f'{failed} checks FAILED'}")
     return 0 if failed == 0 else 1
 
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["kernel", "zerodiag", "intersection", "support", "mds", "all"],
         default="all",
     )
-    p.add_argument("--qmax", type=int, default=3)
+    p.add_argument("--qmax", type=int, default=9)
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--kmax", type=int, default=3)
     p.set_defaults(func=cmd_oracle)

@@ -6,38 +6,34 @@ rationals the formula modules must match exactly.  Enumerations charge an
 EnumBudget up front and fail loudly rather than truncate; an oracle that
 silently samples is not an oracle.
 
-Two enumeration orders matter and are deliberately different:
+A space of matrices is a stack of (P, k, n) cell masks: free marks the
+cells that run over F_q and base holds the fixed entries, none of them
+in a column with free cells.  _rref_masks gives one mask per pivot
+column set of the canonical RREF bases, so each subspace appears once
+(uniform model); the systematic model's generators [I_k | A] are the
+mask of pivots range(k) alone, taken as matrices.  _subspace_blocks
+enumerates every filling, for enumerate_subspaces, enumerate_systematic
+and the tests' unreduced references.
 
-* systematic generators are enumerated as matrices (distinct matrices may
-  share a row space), mirroring the systematic random model exactly; a
-  generator [I_k | A] is the canonical RREF with pivot columns range(k);
-* subspaces are enumerated once each via their canonical RREF bases
-  (pivot column sets, then free entries), mirroring the uniform model.
+Every count ranks one representative per column-scaling orbit instead:
+_orbit_blocks yields the fillings whose columns with free cells are zero
+or have topmost nonzero entry 1, each with z, its number of such nonzero
+columns, standing for (q-1)**z fillings.  Histograms are keyed by
+(z, value) and weighted by _weighted with Python ints, so results stay
+exact.  Each count states why its statistic is the same on a whole
+orbit.  dim(C1 star C2) does not change when C1 or C2 is scaled column
+by column, each independently, so the star-dimension and kernel oracles
+reduce both sides and the fixed-code oracle its enumerated side; the
+intersection oracle is the fixed-code oracle of the one outer subspace
+rowspace [I_k1 | 0] (see exact_expected_intersection).  At q = 2 every
+orbit is a single filling.  Representatives are decoded through one
+shift table per call, in field._dtype, and every oracle runs on the
+calling thread.
 
-The pair oracles rank one representative per column-scaling orbit.
-Scaling a non-pivot column of an RREF basis by a nonzero scalar gives
-another RREF basis with the same pivots, and dim(C1 star C2) does not
-change when C1 or C2 is scaled column by column, each independently.  So
-_orbit_blocks yields only the bases whose non-pivot columns are zero or
-have topmost nonzero entry 1, each with z, its number of nonzero
-non-pivot columns: it stands for (q-1)**z bases.  Histograms are keyed
-by (z, dim) and weighted with Python ints at the end, so results stay
-exact.  The star-dimension and kernel oracles reduce both sides and the
-fixed-code oracle its enumerated side.  The intersection oracle is the
-fixed-code oracle of the one outer subspace C0 = rowspace [I_k1 | 0]:
-GL(n) is transitive on k1-subspaces, and diagonal maps fix C0 (see
-exact_expected_intersection).  At q = 2 every orbit is a single basis
-and nothing is saved.  _orbit_blocks decodes the representatives through
-one shift table per call and builds them in field._dtype, like
-_subspace_blocks and the fixed basis, so the star and meet products run
-on the narrow arrays rank_many reduces.
-
-Every oracle runs through _orbit_histogram on the calling thread;
-_fixed_histogram's outer side is one basis, that of C or of C0.
-
-An EnumBudget is charged the number of pairs (or subspaces) represented,
-not the number of orbit representatives ranked, so an oracle call raises
-BudgetExceeded at the same sizes whatever the enumeration ranks.
+An EnumBudget is charged the number of items (pairs, subspaces or
+matrices) represented, not the number of orbit representatives ranked,
+so an oracle call raises BudgetExceeded at the same sizes whatever the
+enumeration ranks.
 """
 
 from __future__ import annotations
@@ -105,69 +101,68 @@ def _digit_blocks(radices, block: int) -> Iterator[np.ndarray]:
         yield digits
 
 
-def _pivot_sets(n: int, k: int, model: RandomModel) -> list:
-    """A systematic generator [I_k | A] is the RREF with pivots range(k)."""
-    if model is RandomModel.SYSTEMATIC:
-        return [tuple(range(k))]
-    return list(itertools.combinations(range(n), k))
+def _rref_masks(n: int, k: int, model: RandomModel) -> tuple:
+    """(free, base) masks, each (P, k, n), of the model's canonical RREF
+    bases, one per pivot column set in lexicographic order."""
+    sets = [range(k)] if model is RandomModel.SYSTEMATIC else itertools.combinations(range(n), k)
+    return _rref_cells(np.array([np.isin(np.arange(n), s) for s in sets]), k)
 
 
-def _fillings(free: np.ndarray, base: np.ndarray, q: int, block: int) -> Iterator[np.ndarray]:
-    """Every filling of the free cells of base with entries in [0, q), as
-    (B,) + base.shape blocks of at most block matrices, in lexicographic
-    order of the free entries (row-major cell order)."""
-    rows, cols = np.nonzero(free)
-    for digits in _digit_blocks([q] * rows.size, block):
-        mats = np.broadcast_to(base, (len(digits),) + base.shape).copy()
-        mats[:, rows, cols] = digits
-        yield mats
+def _subspace_blocks(field: FieldSpec, free: np.ndarray, base: np.ndarray, block: int) -> Iterator[np.ndarray]:
+    """Every filling of the free cells of each mask with entries in
+    [0, q), as (B, k, n) blocks of at most block matrices in field._dtype,
+    mask by mask, in lexicographic order of the free entries (row-major
+    cell order)."""
+    for f, b in zip(free, base.astype(field._dtype)):
+        rows, cols = np.nonzero(f)
+        for digits in _digit_blocks([field.q] * rows.size, block):
+            mats = np.broadcast_to(b, (len(digits),) + b.shape).copy()
+            mats[:, rows, cols] = digits
+            yield mats
 
 
-def _subspace_blocks(field: FieldSpec, n: int, k: int, block: int, pivot_sets) -> Iterator[np.ndarray]:
-    """Canonical RREF bases of the k-dim subspaces with the given pivot
-    column sets, as (B, k, n) tensors in field._dtype, pivot set by pivot
-    set."""
-    for pivots in pivot_sets:
-        free, base = _rref_cells(np.isin(np.arange(n), pivots), k)
-        yield from _fillings(free, base.astype(field._dtype), field.q, block)
-
-
-def _orbit_blocks(field: FieldSpec, n: int, k: int, block: int, pivot_sets) -> Iterator[tuple]:
-    """(mats, z) blocks, in field._dtype, of the canonical RREF bases with
-    the given pivot column sets whose non-pivot columns are zero or have
-    topmost nonzero entry 1, one per column-scaling orbit; z counts the
-    nonzero non-pivot columns.  The free cells of a column c are its top
-    h_c rows, h_c being the number of pivots left of c."""
+def _orbit_blocks(field: FieldSpec, free: np.ndarray, base: np.ndarray, block: int) -> Iterator[tuple]:
+    """(mats, z) blocks, in field._dtype, of the fillings of each mask
+    whose columns with free cells are zero or have topmost nonzero entry
+    1, one per column-scaling orbit; z counts those nonzero columns."""
     q = field.q
-    # Read top-down as base-q digits, the representatives of a height-h
-    # column are the integers below q**h whose leading digit is 0 or 1, in
-    # increasing order: zero, then q**m + [0, q**m) for m = 0, 1, ..., from
-    # orbit starts[m] = 1 + (q**m - 1)/(q - 1) on.  So orbit o is o +
+    # Read top-down as base-q digits, the representatives of a column of
+    # h free cells are the integers below q**h whose leading digit is 0 or
+    # 1, in increasing order: zero, then q**m + [0, q**m) for m = 0, 1, ...,
+    # from orbit starts[m] = 1 + (q**m - 1)/(q - 1) on.  So orbit o is o +
     # shift[j], j = searchsorted(starts, o, "right"), and starts[h] is the
-    # orbit count.  Only n > k leaves non-pivot columns, of height <= k.
-    top = k if n > k else 0
+    # orbit count.  A cell's digit place is h minus its depth in its column.
+    depth = np.cumsum(free, axis=1)
+    heights = free.sum(axis=1)
+    top = int(heights.max(initial=0))
     _index_count([q] * top)  # every representative is an int64 below q**top
     powers = q ** np.arange(top + 1, dtype=np.int64)
     starts = 1 + (powers - 1) // (q - 1)
     shift = np.concatenate(([0], powers[:-1] - starts[:-1]))
-    for pivots in pivot_sets:
-        free, base = _rref_cells(np.isin(np.arange(n), pivots), k)
-        heights = free.sum(axis=0)
-        cols = np.nonzero(heights)[0]
-        rows, cell_cols = np.nonzero(free)
+    for f, b, d, h in zip(free, base.astype(field._dtype), depth, heights):
+        cols = np.nonzero(h)[0]
+        rows, cell_cols = np.nonzero(f)
         cell_t = np.searchsorted(cols, cell_cols)
-        place = powers[heights[cell_cols] - 1 - rows]
-        base = base.astype(field._dtype)
-        for orbits in _digit_blocks(starts[heights[cols]].tolist(), block):
+        place = powers[h[cell_cols] - d[rows, cell_cols]]
+        for orbits in _digit_blocks(starts[h[cols]].tolist(), block):
             value = orbits + shift[np.searchsorted(starts, orbits, side="right")]
-            mats = np.broadcast_to(base, (len(orbits), k, n)).copy()
+            mats = np.broadcast_to(b, (len(orbits),) + b.shape).copy()
             mats[:, rows, cell_cols] = _mod(value[:, cell_t] // place, q)
             yield mats, np.count_nonzero(orbits, axis=1)
 
 
+def _weighted(keyed: list, size: int, q: int) -> list:
+    """The histogram over [0, size) of a histogram keyed by z*size +
+    value, each key weighted by the (q-1)**z fillings it stands for."""
+    hist = [0] * size
+    for key, c in enumerate(keyed):
+        hist[key % size] += c * (q - 1) ** (key // size)
+    return hist
+
+
 def _packed(pieces, rows: int) -> Iterator[tuple]:
     """Consecutive (mats, z) pieces of at most rows rows each, concatenated
-    into batches of at most rows rows, so that pivot sets with few
+    into batches of at most rows rows, so that masks with few
     representatives do not each cost a batch of their own."""
 
     def concat(buf):
@@ -184,15 +179,15 @@ def _packed(pieces, rows: int) -> Iterator[tuple]:
         yield concat(buf)
 
 
-def _orbit_histogram(field: FieldSpec, stat, size: int, z_max: int, outer, n: int, k: int, pivots) -> list:
+def _orbit_histogram(field: FieldSpec, stat, size: int, z_max: int, outer, free, base) -> list:
     """Exact histogram of stat over the pairs of a row of an outer (g1, z1)
-    batch and an inner (g2, z2) orbit representative of the k-dim subspaces
-    of F_q^n with the given pivot sets.  A pair stands for (q-1)**(z1 + z2)
-    pairs, counted by the key z*size + dim and weighted at the end; stat
-    sees about _PAIR_BLOCK pairs a call."""
+    batch and an inner (g2, z2) orbit representative of the (free, base)
+    masks.  A pair stands for (q-1)**(z1 + z2) pairs, counted by the key
+    z*size + dim and weighted at the end; stat sees about _PAIR_BLOCK pairs
+    a call."""
 
     def inner_blocks():
-        return _packed(_orbit_blocks(field, n, k, _SUBSPACE_BLOCK, pivots), _SUBSPACE_BLOCK)
+        return _packed(_orbit_blocks(field, free, base, _SUBSPACE_BLOCK), _SUBSPACE_BLOCK)
 
     first = inner_blocks()
     head = list(itertools.islice(first, 2))
@@ -213,11 +208,7 @@ def _orbit_histogram(field: FieldSpec, stat, size: int, z_max: int, outer, n: in
                 g2s, z2s = g2[None, s : s + width], z2[None, s : s + width]
                 yield stat(field, g1[:, None], g2s) + size * (z1[:, None] + z2s).ravel()
 
-    keyed = dim_histogram(size * (z_max + 1), outer, keys)
-    hist = [0] * size
-    for key, c in enumerate(keyed):
-        hist[key % size] += c * (field.q - 1) ** (key // size)
-    return hist
+    return _weighted(dim_histogram(size * (z_max + 1), outer, keys), size, field.q)
 
 
 def _mean(hist: list, count: int) -> Fraction:
@@ -249,8 +240,9 @@ def enumerate_subspaces(field: FieldSpec, n: int, k: int, budget=None) -> Iterat
 
 def _rref_codes(field: FieldSpec, n: int, k: int, model: RandomModel) -> Iterator[LinearCode]:
     """The codes of the model's canonical RREF bases, taken as they are."""
-    for pivots in _pivot_sets(n, k, model):
-        for block in _subspace_blocks(field, n, k, _SUBSPACE_BLOCK, [pivots]):
+    for free, base in zip(*_rref_masks(n, k, model)):
+        pivots = tuple(np.flatnonzero(base.any(axis=0)).tolist())
+        for block in _subspace_blocks(field, free[None], base[None], _SUBSPACE_BLOCK):
             for mat in block:
                 # a copy, so that a code kept by the caller does not pin its block
                 yield LinearCode(field, Mat._trusted(field, mat.astype(np.int64)), pivots)
@@ -267,11 +259,9 @@ def _pair_histogram(p: Params, model: RandomModel, budget) -> tuple:
     else:
         count = qbinom(p.n, p.k1, p.q) * qbinom(p.n, p.k2, p.q)
     _budget(budget).charge(count)
-    outer_pivots = _pivot_sets(p.n, p.k1, model)
-    outer = _packed(_orbit_blocks(field, p.n, p.k1, _OUTER_BLOCK, outer_pivots), _OUTER_BLOCK)
-    inner_pivots = _pivot_sets(p.n, p.k2, model)
+    outer = _packed(_orbit_blocks(field, *_rref_masks(p.n, p.k1, model), _OUTER_BLOCK), _OUTER_BLOCK)
     z_max = 2 * p.n - p.k1 - p.k2
-    return _orbit_histogram(field, stat, size, z_max, outer, p.n, p.k2, inner_pivots), count
+    return _orbit_histogram(field, stat, size, z_max, outer, *_rref_masks(p.n, p.k2, model)), count
 
 
 def exact_expected_kernel(p: Params, budget=None) -> Fraction:
@@ -294,8 +284,8 @@ def _fixed_histogram(field: FieldSpec, basis: np.ndarray, ell: int, stat) -> lis
     running over column-scaling orbits.  The caller charges the budget."""
     k, n = basis.shape
     outer = [(basis.astype(field._dtype)[None], np.zeros(1, dtype=np.int64))]
-    pivots = _pivot_sets(n, ell, RandomModel.UNIFORM_SUBSPACE)
-    return _orbit_histogram(field, stat, min(k * ell, n) + 1, n - ell, outer, n, ell, pivots)
+    masks = _rref_masks(n, ell, RandomModel.UNIFORM_SUBSPACE)
+    return _orbit_histogram(field, stat, min(k * ell, n) + 1, n - ell, outer, *masks)
 
 
 def exact_expected_star_dim_fixed(
@@ -333,12 +323,15 @@ def exact_expected_intersection(p: Params, budget=None) -> Fraction:
 
 def count_support_oracle(q: int, n: int, ell: int, budget=None) -> list:
     """Number of ell-dim subspaces of F_q^n with support size s, for
-    s = 0..n, counted over their canonical RREF bases."""
+    s = 0..n, counted over column-scaling orbits of their canonical RREF
+    bases: a column scaled by a nonzero scalar stays zero or nonzero, so
+    every basis of an orbit has the same support."""
     _check_dims(n, ell)
     _budget(budget).charge(qbinom(n, ell, q))
-    pivots = _pivot_sets(n, ell, RandomModel.UNIFORM_SUBSPACE)
-    blocks = _subspace_blocks(field_from_order(q), n, ell, _SUBSPACE_BLOCK, pivots)
-    return dim_histogram(n + 1, blocks, lambda mats: [mats.any(axis=1).sum(axis=1)])
+    masks = _rref_masks(n, ell, RandomModel.UNIFORM_SUBSPACE)
+    blocks = _packed(_orbit_blocks(field_from_order(q), *masks, _SUBSPACE_BLOCK), _SUBSPACE_BLOCK)
+    keyed = dim_histogram((n + 1) * (n - ell + 1), blocks, lambda b: [b[0].any(axis=1).sum(axis=1) + (n + 1) * b[1]])
+    return _weighted(keyed, n + 1, q)
 
 
 @dataclass
@@ -355,21 +348,25 @@ class ZeroDiagCounts:
 
 
 def count_zero_diag_oracle(k1: int, k2: int, q: int, budget=None) -> ZeroDiagCounts:
-    """Enumerate every k1 x k2 matrix with zero diagonal and bucket by
-    rank and by the exact set of zero columns among the last k2 - k1."""
+    """Count every k1 x k2 matrix with zero diagonal by rank and by the
+    exact set of zero columns among the last k2 - k1, over column-scaling
+    orbits: a column scaled by a nonzero scalar keeps the zero diagonal,
+    the rank and the set of zero columns."""
     if not 0 <= k1 <= k2:
         raise BadRange(f"need 0 <= k1 <= k2, got k1={k1} k2={k2}")
     field = field_from_order(q)
-    free = ~np.eye(k1, k2, dtype=bool)
-    _budget(budget).charge(q ** int(free.sum()))  # _fillings raises TooLarge past int64
+    free = ~np.eye(k1, k2, dtype=bool)[None]
+    _budget(budget).charge(q ** int(free.sum()))  # _orbit_blocks raises TooLarge past int64 indices
     w = k2 - k1
+    size = (k1 + 1) << w
 
-    def keys(mats):
+    def keys(block):
+        mats, z = block
         zero_cols = (mats[:, :, k1:] == 0).all(axis=1)
-        yield rank_many(field, mats) * (1 << w) + zero_cols @ (1 << np.arange(w, dtype=np.int64))
+        yield rank_many(field, mats) * (1 << w) + zero_cols @ (1 << np.arange(w, dtype=np.int64)) + size * z
 
-    blocks = _fillings(free, np.zeros((k1, k2), dtype=field._dtype), q, _SUBSPACE_BLOCK)
-    counts = dim_histogram((k1 + 1) << w, blocks, keys)
+    blocks = _orbit_blocks(field, free, np.zeros(free.shape, dtype=np.int64), _SUBSPACE_BLOCK)
+    counts = _weighted(dim_histogram(size * (k2 + 1), blocks, keys), size, q)
     out = ZeroDiagCounts()
     for index, c in enumerate(counts):
         if c:

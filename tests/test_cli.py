@@ -263,6 +263,15 @@ def test_oracle_grid_skips_only_budget_errors(monkeypatch, capsys):
     assert code == 2 and "closed form refused" in err and "PASS" not in out
 
 
+@pytest.mark.parametrize(
+    "args", [("--qmax", "1"), ("--check", "mds", "--nmax", "2"), ("--check", "kernel", "--kmax", "0")]
+)
+def test_oracle_grid_that_checks_nothing_is_a_usage_error(capsys, args):
+    code, out, err = run(capsys, "oracle", *args)
+    assert code == 2 and "no oracle grid point was checked" in err
+    assert "PASS" not in out and "all checks passed" not in out
+
+
 def test_failed_oracle_check_exit_code(monkeypatch, capsys):
     from starprod import exact
 
@@ -311,8 +320,10 @@ GOLDEN_STDOUT = {
         "081691ba17d24475aea62809c40decbfcfd55168afba7d81f15bfd8bce2b63ac",
     "intersect -q 8 -n 4 -k1 2 -k2 2 --mc --samples 4113":
         "a287a480d3b3df46ca7a803047bbdd8d02e1c874f106d0d495c4cee67887ce00",
-    "oracle --check all":
+    "oracle --check all --qmax 3":
         "2fd59a5576b0cbc28d1f03a7fe532c6189f502318be05482b27cff5013cc9eb5",
+    "oracle --check all":
+        "dd8847307872edfbea80c12e090d6b6b379361d549b11ad3f47ed2920be9d8bd",
     "example-mds --l 1 --threads 2":
         "8df0447f373a1c246829f0b4d3935061be01d67fd52b939ee986ce35ee1731b9",
 }

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from starprod import (
     EnumBudget,
@@ -33,6 +36,7 @@ from starprod import oracle
 from starprod._tally import dim_histogram, meet_dims, star_dims
 from starprod.catalog import mds63_gf7_codes
 from starprod.fields import field_from_order
+from starprod.matrices import rank_many
 from starprod.oracle import DEFAULT_BUDGET, systematic_count
 from starprod.errors import BadRange, BudgetExceeded, NotMonomial, TooLarge, ZeroCode
 
@@ -182,6 +186,35 @@ def test_count_zero_diag_oracle_matches_formulas():
                     assert c == count_zero_diag_rank_zerocols(k1, k2, r, len(cols), q)
 
 
+def test_count_zero_diag_oracle_equals_full_enumeration():
+    # the orbit count against every matrix of the same ~eye(k1, k2) mask,
+    # with k1 = 0, k1 = k2 and k2 = k1 + 1 at every q
+    for q in ORBIT_QS:
+        field = field_from_order(q)
+        for k1 in range(4):
+            for k2 in (k1, k1 + 1):
+                free = ~np.eye(k1, k2, dtype=bool)[None]
+                if q ** int(free.sum()) > 1 << 16:
+                    continue
+                mats = np.concatenate(list(oracle._subspace_blocks(field, free, np.zeros(free.shape, int), 1 << 15)))
+                ranks = rank_many(field, mats).tolist()
+                zero_sets = [frozenset(k1 + np.flatnonzero(~m[:, k1:].any(axis=0))) for m in mats]
+                counts = count_zero_diag_oracle(k1, k2, q)
+                assert counts.by_rank == dict(Counter(ranks)), (q, k1, k2)
+                assert counts.by_rank_and_zero_set == dict(Counter(zip(ranks, zero_sets))), (q, k1, k2)
+
+
+def test_count_support_oracle_equals_full_enumeration():
+    for q in ORBIT_QS:
+        field = field_from_order(q)
+        for n in range(1, 6):
+            for ell in range(1, n + 1):
+                if qbinom(n, ell, q) <= FULL_PAIRS_LIMIT:
+                    full = _full_blocks(field, n, ell, RandomModel.UNIFORM_SUBSPACE)
+                    want = np.bincount((full != 0).any(axis=1).sum(axis=1), minlength=n + 1)
+                    assert oracle.count_support_oracle(q, n, ell) == want.tolist(), (q, n, ell)
+
+
 def test_count_support_oracle_matches_per_code_count():
     # the block count equals counting supports one code object at a time
     for q, nmax in [(2, 5), (3, 4), (4, 3), (9, 3)]:
@@ -285,8 +318,8 @@ FULL_PAIRS_LIMIT = 1 << 13  # pairs the full reference enumeration ranks per poi
 
 def _full_blocks(field, n, k, model):
     # int64, so that the reference ranks wide arrays whatever dtype the oracle uses
-    pivots = oracle._pivot_sets(n, k, model)
-    return np.concatenate(list(oracle._subspace_blocks(field, n, k, 1 << 15, pivots))).astype(np.int64)
+    masks = oracle._rref_masks(n, k, model)
+    return np.concatenate(list(oracle._subspace_blocks(field, *masks, 1 << 15))).astype(np.int64)
 
 
 def _full_histogram(field, stat, size, g1, g2):
@@ -401,9 +434,9 @@ def test_orbit_blocks_cover_every_basis_once():
     for q, n, k in [(3, 4, 2), (4, 4, 2), (5, 3, 1), (9, 3, 2)]:
         field = field_from_order(q)
         full = _full_blocks(field, n, k, RandomModel.UNIFORM_SUBSPACE)
-        pivots = oracle._pivot_sets(n, k, RandomModel.UNIFORM_SUBSPACE)
+        masks = oracle._rref_masks(n, k, RandomModel.UNIFORM_SUBSPACE)
         seen = []
-        for mats, z in oracle._orbit_blocks(field, n, k, 5, pivots):
+        for mats, z in oracle._orbit_blocks(field, *masks, 5):
             for g, zi in zip(mats, z):
                 nonpivot = [c for c in range(n) if g[:, c].any() and c not in np.argmax(g != 0, axis=1)]
                 assert len(nonpivot) == zi
@@ -414,6 +447,39 @@ def test_orbit_blocks_cover_every_basis_once():
                     seen.append(field.mul(g, d).tobytes())
         assert len(seen) == len(set(seen)) == len(full)
         assert set(seen) == {g.tobytes() for g in full}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_blocks_expand_to_every_filling_once(data):
+    # arbitrary stacked masks (empty and full columns, gaps inside a
+    # column, base entries in columns without free cells): each
+    # representative's column scalings give every filling exactly once
+    k, n, masks = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    free = data.draw(arrays(bool, (masks, k, n)))
+    cells = int(free.sum(axis=(1, 2)).max())
+    q = data.draw(st.sampled_from([q for q in ORBIT_QS if q**cells <= 1 << 12]))
+    base = data.draw(arrays(np.int64, free.shape, elements=st.integers(0, q - 1)))
+    base[free.any(axis=1, keepdims=True).repeat(k, axis=1)] = 0
+    field = field_from_order(q)
+    full = np.concatenate(list(oracle._subspace_blocks(field, free, base, 1 << 15)))
+    reps, z = (np.concatenate(part) for part in zip(*oracle._orbit_blocks(field, free, base, 5)))
+    # mask by mask, the product over its columns of 1 + (q**h - 1)/(q - 1) orbits
+    heights = free.sum(axis=1)
+    counts = np.prod(1 + (q**heights - 1) // (q - 1), axis=1)
+    scalable = np.repeat(heights > 0, counts, axis=0)  # the columns a representative's mask lets scale
+    assert len(reps) == len(scalable)
+    assert (z == ((reps != 0).any(axis=1) & scalable).sum(axis=1)).all()
+    cols = np.flatnonzero(scalable.any(axis=0))
+    scales = np.ones(((q - 1) ** len(cols), n), dtype=np.int64)
+    scales[:, cols] = list(itertools.product(range(1, q), repeat=len(cols)))
+    d = np.where(scalable[:, None, :], scales, 1)[:, :, None, :]
+    place = q ** np.arange(k * n, dtype=np.int64)  # one integer per matrix
+    codes = np.sort(field.mul(reps[:, None], d).reshape(len(reps), len(scales), -1) @ place, axis=1)
+    new = np.diff(codes, axis=1) != 0  # a filling not yet seen in the representative's orbit
+    assert (1 + new.sum(axis=1) == (q - 1) ** z).all()
+    orbits = np.concatenate([codes[:, 0], codes[:, 1:][new]])
+    assert np.array_equal(np.sort(orbits), np.sort(full.reshape(len(full), -1) @ place))
 
 
 def _orbit_listing(q, h):
@@ -428,12 +494,13 @@ def test_orbit_blocks_decode_columns_in_order_in_field_dtype():
     for q in ORBIT_QS:
         field = field_from_order(q)
         for n, k in [(4, 3), (5, 3), (4, 1)]:
-            for pivots in oracle._pivot_sets(n, k, RandomModel.UNIFORM_SUBSPACE):
+            for free, base in zip(*oracle._rref_masks(n, k, RandomModel.UNIFORM_SUBSPACE)):
+                pivots = np.flatnonzero(base.any(axis=0))
                 cols = [c for c in range(n) if c not in pivots]
                 heights = [sum(p < c for p in pivots) for c in cols]
                 want = list(itertools.product(*(_orbit_listing(q, h) for h in heights)))
                 got, z = [], []
-                for mats, zs in oracle._orbit_blocks(field, n, k, 7, [pivots]):
+                for mats, zs in oracle._orbit_blocks(field, free[None], base[None], 7):
                     assert mats.dtype == field._dtype
                     got += [tuple(tuple(g[:h, c].tolist()) for c, h in zip(cols, heights)) for g in mats]
                     z += zs.tolist()
@@ -529,13 +596,13 @@ def test_oracle_histograms_independent_of_block_sizes(monkeypatch, subspace_bloc
         return sum(built)
 
     monkeypatch.setattr(oracle, "_orbit_blocks", counted)
-    pivots = oracle._pivot_sets(5, 2, RandomModel.UNIFORM_SUBSPACE)
-    reps = sum(len(z) for _, z in orbit_blocks(code.field, 5, 2, 1 << 15, pivots))
+    masks = oracle._rref_masks(5, 2, RandomModel.UNIFORM_SUBSPACE)
+    reps = sum(len(z) for _, z in orbit_blocks(code.field, *masks, 1 << 15))
     default = [call() for call in points]
     assert fixed_rows_built() == reps  # one inner block, built once
     monkeypatch.setattr(oracle, "_SUBSPACE_BLOCK", subspace_block)
     monkeypatch.setattr(oracle, "_PAIR_BLOCK", pair_block)
     monkeypatch.setattr(oracle, "_OUTER_BLOCK", outer_block)
-    assert len(list(oracle._packed(orbit_blocks(code.field, 5, 2, subspace_block, pivots), subspace_block))) > 1
+    assert len(list(oracle._packed(orbit_blocks(code.field, *masks, subspace_block), subspace_block))) > 1
     assert [call() for call in points] == default
     assert fixed_rows_built() == reps  # several inner blocks, each built once
