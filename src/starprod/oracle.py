@@ -18,17 +18,29 @@ and the tests' unreduced references.
 Every count ranks one representative per column-scaling orbit instead:
 _orbit_blocks yields the fillings whose columns with free cells are zero
 or have topmost nonzero entry 1, each with z, its number of such nonzero
-columns, standing for (q-1)**z fillings.  Histograms are keyed by
-(z, value) and weighted by _weighted with Python ints, so results stay
-exact.  Each count states why its statistic is the same on a whole
-orbit.  dim(C1 star C2) does not change when C1 or C2 is scaled column
-by column, each independently, so the star-dimension and kernel oracles
-reduce both sides and the fixed-code oracle its enumerated side; the
-intersection oracle is the fixed-code oracle of the one outer subspace
-rowspace [I_k1 | 0] (see exact_expected_intersection).  At q = 2 every
-orbit is a single filling.  Representatives are decoded through one
-shift table per call, in field._dtype, and every oracle runs on the
+columns, standing for (q-1)**z fillings (a Python-int weight, so results
+stay exact); _orbit_index inverts it.  Each count states why its
+statistic is the same on a whole orbit.  dim(C1 star C2) does not change
+when C1 or C2 is scaled column by column, each independently, so the
+pair oracles reduce both sides and the fixed-code oracle its enumerated
+side; the intersection oracle is the fixed-code oracle of rowspace
+[I_k1 | 0] (see exact_expected_intersection).  Every oracle runs on the
 calling thread.
+
+The systematic pair oracles rank one side by orbits of a larger group:
+
+* Let sigma permute the coordinates, mapping [0, k1), [k1, k2) and
+  [k2, n) onto themselves.  (x star y) sigma = x sigma star y sigma, so
+  dim(C1 sigma star C2 sigma) = dim(C1 star C2), and C -> C sigma maps
+  the systematic codes of either dimension onto themselves.  With a
+  diagonal D as above, sum_C2 f(C1 D sigma, C2) = sum_C2 f(C1, C2
+  sigma^-1) = sum_C2 f(C1, C2), and likewise with the sides exchanged.
+* On [I_k | A], sigma swaps rows of A where it permutes pivots and
+  columns of A elsewhere, and D scales rows and columns of A.  So one A
+  per orbit is ranked, weighted by the sum of (q-1)**z over the orbit.
+* The star dimension and its prefix peel are symmetric in the codes, so
+  _systematic_side labels the side with fewer column-scaling orbits: at
+  most the square root of the pairs charged, 2**13 at the default budget.
 
 An EnumBudget is charged the number of items (pairs, subspaces or
 matrices) represented, not the number of orbit representatives ranked,
@@ -121,24 +133,26 @@ def _subspace_blocks(field: FieldSpec, free: np.ndarray, base: np.ndarray, block
             yield mats
 
 
-def _orbit_blocks(field: FieldSpec, free: np.ndarray, base: np.ndarray, block: int) -> Iterator[tuple]:
-    """(mats, z) blocks, in field._dtype, of the fillings of each mask
-    whose columns with free cells are zero or have topmost nonzero entry
-    1, one per column-scaling orbit; z counts those nonzero columns."""
-    q = field.q
-    # Read top-down as base-q digits, the representatives of a column of
-    # h free cells are the integers below q**h whose leading digit is 0 or
-    # 1, in increasing order: zero, then q**m + [0, q**m) for m = 0, 1, ...,
-    # from orbit starts[m] = 1 + (q**m - 1)/(q - 1) on.  So orbit o is o +
-    # shift[j], j = searchsorted(starts, o, "right"), and starts[h] is the
-    # orbit count.  A cell's digit place is h minus its depth in its column.
-    depth = np.cumsum(free, axis=1)
+def _orbit_tables(q: int, free: np.ndarray) -> tuple:
+    """(depth, heights, powers, starts, shift) of stacked (P, k, n) masks.
+    Top-down in base q, a column of h free cells has orbit representatives
+    0, then q**m + [0, q**m) from orbit starts[m] = 1 + (q**m - 1)/(q - 1)
+    on (m < h): orbit o is o + shift[searchsorted(starts, o, "right")] and
+    v is orbit v - shift[searchsorted(powers, v, "right")].  A cell's digit
+    place is h minus its depth in its column."""
     heights = free.sum(axis=1)
     top = int(heights.max(initial=0))
     _index_count([q] * top)  # every representative is an int64 below q**top
     powers = q ** np.arange(top + 1, dtype=np.int64)
     starts = 1 + (powers - 1) // (q - 1)
-    shift = np.concatenate(([0], powers[:-1] - starts[:-1]))
+    return np.cumsum(free, axis=1), heights, powers, starts, np.concatenate(([0], powers[:-1] - starts[:-1]))
+
+
+def _orbit_blocks(field: FieldSpec, free: np.ndarray, base: np.ndarray, block: int) -> Iterator[tuple]:
+    """(mats, z) blocks, in field._dtype, of the fillings of each mask
+    whose columns with free cells are zero or have topmost nonzero entry
+    1, one per column-scaling orbit; z counts those nonzero columns."""
+    depth, heights, powers, starts, shift = _orbit_tables(field.q, free)
     for f, b, d, h in zip(free, base.astype(field._dtype), depth, heights):
         cols = np.nonzero(h)[0]
         rows, cell_cols = np.nonzero(f)
@@ -147,8 +161,37 @@ def _orbit_blocks(field: FieldSpec, free: np.ndarray, base: np.ndarray, block: i
         for orbits in _digit_blocks(starts[h[cols]].tolist(), block):
             value = orbits + shift[np.searchsorted(starts, orbits, side="right")]
             mats = np.broadcast_to(b, (len(orbits),) + b.shape).copy()
-            mats[:, rows, cell_cols] = _mod(value[:, cell_t] // place, q)
+            mats[:, rows, cell_cols] = _mod(value[:, cell_t] // place, field.q)
             yield mats, np.count_nonzero(orbits, axis=1)
+
+
+def _orbit_index(field: FieldSpec, free: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The index in _orbit_blocks' order over one (k, n) mask free, k >= 1,
+    of the orbit of each (B, k, n) filling, its columns first scaled to a
+    topmost nonzero free cell 1 (field._inv[0] = 0 keeps a zero column)."""
+    depth, heights, powers, starts, shift = _orbit_tables(field.q, free[None])
+    h, cols = heights[0], np.flatnonzero(heights[0])
+    cells = np.where(free, mats, 0)[:, :, cols]
+    lead = np.take_along_axis(cells, np.argmax(cells != 0, axis=1)[:, None], axis=1)
+    value = (field.mul(cells, field._inv[lead]) * powers[h - depth[0]][:, cols]).sum(axis=1)
+    orbits = value - shift[np.searchsorted(powers, value, side="right")]
+    radices = starts[h[cols]].tolist()
+    return orbits @ np.array([math.prod(radices[t + 1 :]) for t in range(len(radices))], dtype=np.int64)
+
+
+def _orbit_classes(maps: list, z: np.ndarray, q: int) -> tuple:
+    """(label, reps, weights) of the orbits of [0, len(z)) under the group
+    the index maps (permutations) generate: label is each index's least
+    orbit mate, reps the labels in increasing order and weights each
+    orbit's Python-int sum of (q-1)**z.  Propagation stops at label[i] <=
+    label[m[i]] for all m, i: constant on each cycle, so on each orbit."""
+    label, last = np.arange(len(z)), None
+    while last is None or not np.array_equal(label, last):
+        last = label
+        for m in maps:
+            label = np.minimum(label, label[m])
+    reps, orbit = np.unique(label, return_inverse=True)
+    return label, reps, _weighted(np.bincount(z * len(reps) + orbit).tolist(), len(reps), q)
 
 
 def _weighted(keyed: list, size: int, q: int) -> list:
@@ -179,12 +222,11 @@ def _packed(pieces, rows: int) -> Iterator[tuple]:
         yield concat(buf)
 
 
-def _orbit_histogram(field: FieldSpec, stat, size: int, z_max: int, outer, free, base) -> list:
-    """Exact histogram of stat over the pairs of a row of an outer (g1, z1)
+def _orbit_histogram(field: FieldSpec, stat, size: int, weights: list, outer, free, base) -> list:
+    """Exact histogram of stat over the pairs of a row of an outer (g1, c)
     batch and an inner (g2, z2) orbit representative of the (free, base)
-    masks.  A pair stands for (q-1)**(z1 + z2) pairs, counted by the key
-    z*size + dim and weighted at the end; stat sees about _PAIR_BLOCK pairs
-    a call."""
+    masks, each standing for weights[c] (a Python int) * (q-1)**z2 pairs, keyed
+    (z2*len(weights) + c)*size + dim; stat sees about _PAIR_BLOCK pairs a call."""
 
     def inner_blocks():
         return _packed(_orbit_blocks(field, free, base, _SUBSPACE_BLOCK), _SUBSPACE_BLOCK)
@@ -200,15 +242,19 @@ def _orbit_histogram(field: FieldSpec, stat, size: int, z_max: int, outer, free,
             return head
         return started.pop() if started else inner_blocks()
 
+    classes = len(weights) * size
+
     def keys(batch):
-        g1, z1 = batch
+        g1, c1 = batch
         width = max(1, _PAIR_BLOCK // len(g1))
         for g2, z2 in blocks():
             for s in range(0, len(g2), width):
                 g2s, z2s = g2[None, s : s + width], z2[None, s : s + width]
-                yield stat(field, g1[:, None], g2s) + size * (z1[:, None] + z2s).ravel()
+                yield stat(field, g1[:, None], g2s) + (size * c1[:, None] + classes * z2s).ravel()
 
-    return _weighted(dim_histogram(size * (z_max + 1), outer, keys), size, field.q)
+    z_top = free.shape[2] - free.shape[1]  # the non-pivot columns of a (P, k, n) RREF mask
+    hist = _weighted(dim_histogram(classes * (z_top + 1), outer, keys), classes, field.q)
+    return [sum(w * hist[c * size + d] for c, w in enumerate(weights)) for d in range(size)]
 
 
 def _mean(hist: list, count: int) -> Fraction:
@@ -248,26 +294,50 @@ def _rref_codes(field: FieldSpec, n: int, k: int, model: RandomModel) -> Iterato
                 yield LinearCode(field, Mat._trusted(field, mat.astype(np.int64)), pivots)
 
 
+def _systematic_side(field: FieldSpec, p: Params) -> tuple:
+    """(k, mats, z, maps): the side k of (k1, k2) with fewer column-scaling
+    representatives (k1 on a tie), its _orbit_blocks, and the index maps of
+    the module docstring's group's generators: the adjacent transpositions
+    inside [0, k1), [k1, k2) and [k2, n), at q > 2 each row times a generator of F_q^*."""
+    q, n = field.q, p.n
+    k = min(p.k1, p.k2, key=lambda k: _index_count([1 + (q**k - 1) // (q - 1)] * (n - k)))
+    free, base = _rref_masks(n, k, RandomModel.SYSTEMATIC)
+    mats, z = (np.concatenate(part) for part in zip(*_orbit_blocks(field, free, base, _SUBSPACE_BLOCK)))
+    perms = [[*range(i), i + 1, i, *range(i + 2, n)] for i in range(n - 1) if i + 1 not in (p.k1, p.k2)]
+    images = [mats[:, perm[:k]][:, :, perm] for perm in perms]  # a pivot swap also swaps rows
+    # a generator of F_q^*, x in an extension field; a scaled row's pivot is not a free cell
+    roots = (a for a in range(1, q) if len({pow(a, e, q) for e in range(q)}) == q - 1)
+    scale = field._exp[1] if field.m > 1 else next(roots)
+    images += [field.mul(mats, np.where(np.arange(k) == r, scale, 1)[:, None]) for r in range(k if q > 2 else 0)]
+    return k, mats, z, _orbit_index(field, free[0], np.concatenate([mats[:0], *images])).reshape(-1, len(mats))
+
+
 def _pair_histogram(p: Params, model: RandomModel, budget) -> tuple:
-    """Exact star-dimension histogram over every generator pair of the
-    model, with the pair count.  Both sides run over column-scaling orbits
-    (see the module docstring)."""
+    """Exact star-dimension histogram over every generator pair of the model,
+    and the pair count: inner column-scaling orbits, outer ones in classes z
+    of weight (q-1)**z, or systematic outer orbits of _systematic_side."""
     field = field_from_order(p.q)
     stat, size = pair_stat(p, model, star_dims)
     if model is RandomModel.SYSTEMATIC:
         count = systematic_count(p.q, p.n, p.k1) * systematic_count(p.q, p.n, p.k2)
+        _budget(budget).charge(count)
+        k, mats, z, maps = _systematic_side(field, p)
+        _, reps, weights = _orbit_classes(maps, z, p.q)
+        outer = [(mats[reps], np.arange(len(reps)))]  # one batch: at most 2**13 rows by default
+        inner = p.k1 + p.k2 - k
     else:
         count = qbinom(p.n, p.k1, p.q) * qbinom(p.n, p.k2, p.q)
-    _budget(budget).charge(count)
-    outer = _packed(_orbit_blocks(field, *_rref_masks(p.n, p.k1, model), _OUTER_BLOCK), _OUTER_BLOCK)
-    z_max = 2 * p.n - p.k1 - p.k2
-    return _orbit_histogram(field, stat, size, z_max, outer, *_rref_masks(p.n, p.k2, model)), count
+        _budget(budget).charge(count)
+        outer = _packed(_orbit_blocks(field, *_rref_masks(p.n, p.k1, model), _OUTER_BLOCK), _OUTER_BLOCK)
+        weights = [(p.q - 1) ** z for z in range(p.n - p.k1 + 1)]
+        inner = p.k2
+    return _orbit_histogram(field, stat, size, weights, outer, *_rref_masks(p.n, inner, model)), count
 
 
 def exact_expected_kernel(p: Params, budget=None) -> Fraction:
     """Exact average kernel size of the bilinear evaluation map over all
-    systematic generator pairs: per pair the kernel size is
-    q**(k1*k2 - star dimension)."""
+    systematic generator pairs, q**(k1*k2 - star dimension) per pair, from
+    _pair_histogram's permutation orbits (see the module docstring)."""
     hist, count = _pair_histogram(p, RandomModel.SYSTEMATIC, budget)
     kk = p.k1 * p.k2
     return Fraction(sum(c * p.q ** (kk - d) for d, c in enumerate(hist)), count)
@@ -285,7 +355,7 @@ def _fixed_histogram(field: FieldSpec, basis: np.ndarray, ell: int, stat) -> lis
     k, n = basis.shape
     outer = [(basis.astype(field._dtype)[None], np.zeros(1, dtype=np.int64))]
     masks = _rref_masks(n, ell, RandomModel.UNIFORM_SUBSPACE)
-    return _orbit_histogram(field, stat, min(k * ell, n) + 1, n - ell, outer, *masks)
+    return _orbit_histogram(field, stat, min(k * ell, n) + 1, [1], outer, *masks)
 
 
 def exact_expected_star_dim_fixed(

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from starprod import (
+    EnumBudget,
     Params,
     RandomModel,
     count_zero_diag_rank,
@@ -22,6 +23,7 @@ from starprod import (
     enumerate_subspaces,
     exact_expected_intersection,
     exact_expected_kernel,
+    exact_expected_star_dim,
     exact_expected_star_dim_fixed,
     expected_intersection_dim,
     expected_kernel_size,
@@ -134,6 +136,23 @@ def test_criterion_04_monte_carlo_column():
         worst = max(worst, diff / tol)
         assert diff <= tol, (n, k1, k2, q, est.mean_f64, pub)
     report("4", True, "36 Monte Carlo means within max(0.02, 4 stderr) of published values", f"100000 samples/row, worst |diff|/tol = {worst:.3f}")
+
+
+def test_criterion_04_exact_means_at_n7():
+    # the systematic oracle's exact means of Table 1's n = 7 rows that it
+    # reaches in about a second; each lies within 0.0018 of the published mean
+    exact = {
+        (7, 2, 3, 2): (Fraction(19409927, 4194304), None),
+        (7, 3, 3, 2): (Fraction(47909153, 8388608), None),
+        (7, 3, 4, 2): (Fraction(25983301, 4194304), None),
+        (7, 2, 3, 3): (Fraction(56903676446, 10460353203), EnumBudget(3**22)),
+    }
+    published = dict(zip(GRID, PUBLISHED_MEANS))
+    for (n, k1, k2, q), (want, budget) in exact.items():
+        got = exact_expected_star_dim(Params(q, n, k1, k2), RandomModel.SYSTEMATIC, budget)
+        assert got == want, (n, k1, k2, q)
+        assert abs(float(got) - published[n, k1, k2, q]) < 0.0018, (n, k1, k2, q)
+    report("4", True, "exact systematic means of four n = 7 rows within 0.0018 of published values")
 
 
 def test_criterion_05_fixed_code_expectations_dim2():

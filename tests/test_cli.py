@@ -324,6 +324,8 @@ GOLDEN_STDOUT = {
         "2fd59a5576b0cbc28d1f03a7fe532c6189f502318be05482b27cff5013cc9eb5",
     "oracle --check all":
         "dd8847307872edfbea80c12e090d6b6b379361d549b11ad3f47ed2920be9d8bd",
+    "oracle --check kernel --nmax 6":
+        "ed388562ecdd5096a9e8ddd4fa8d9e980d2b3b676d259f0732869b8b5d3863d8",
     "example-mds --l 1 --threads 2":
         "8df0447f373a1c246829f0b4d3935061be01d67fd52b939ee986ce35ee1731b9",
 }

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from starprod import (
     support,
 )
 from starprod import oracle
-from starprod._tally import dim_histogram, meet_dims, star_dims
+from starprod._tally import dim_histogram, meet_dims, pair_stat, star_dims
 from starprod.catalog import mds63_gf7_codes
 from starprod.fields import field_from_order
 from starprod.matrices import rank_many
@@ -506,6 +507,85 @@ def test_orbit_blocks_decode_columns_in_order_in_field_dtype():
                     z += zs.tolist()
                 assert got == want, (q, n, k, pivots)
                 assert z == [sum(map(any, combo)) for combo in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_index_inverts_orbit_blocks(data):
+    # on one arbitrary mask, each representative encodes to its own index,
+    # and so does every column scaling of it
+    k, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    free = data.draw(arrays(bool, (k, n)))
+    q = data.draw(st.sampled_from([q for q in ORBIT_QS if q ** int(free.sum()) <= 1 << 12]))
+    field = field_from_order(q)
+    reps = np.concatenate([m for m, _ in oracle._orbit_blocks(field, free[None], np.zeros((1, k, n), dtype=np.int64), 5)])
+    index = np.arange(len(reps))
+    assert np.array_equal(oracle._orbit_index(field, free, reps), index)
+    scales = data.draw(arrays(np.int64, (len(reps), 1, n), elements=st.integers(1, q - 1)))
+    assert np.array_equal(oracle._orbit_index(field, free, field.mul(reps, scales)), index)
+
+
+# -- permutation orbits on the systematic side ---------------------------------
+
+SYSTEMATIC = RandomModel.SYSTEMATIC
+
+
+def _column_scaling_histogram(p):
+    """The systematic star-dimension histogram with every outer column-scaling
+    representative ranked, each weighted by (q-1)**z1: no permutation orbits."""
+    field = field_from_order(p.q)
+    stat, size = pair_stat(p, SYSTEMATIC, star_dims)
+    outer = oracle._packed(oracle._orbit_blocks(field, *oracle._rref_masks(p.n, p.k1, SYSTEMATIC), 64), 64)
+    weights = [(p.q - 1) ** z for z in range(p.n - p.k1 + 1)]
+    return oracle._orbit_histogram(field, stat, size, weights, outer, *oracle._rref_masks(p.n, p.k2, SYSTEMATIC))
+
+
+def _side_representatives(q, n, k):
+    return (1 + (q**k - 1) // (q - 1)) ** (n - k)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(2, 6, 2, 2), (2, 6, 3, 3), (2, 5, 2, 3), (3, 5, 2, 3), (4, 5, 2, 3), (5, 4, 2, 2), (9, 4, 2, 2),
+     (3, 4, 1, 3), (3, 4, 2, 4), (2, 6, 2, 5), (3, 5, 2, 4)],
+)
+def test_permutation_orbit_histograms_equal_column_scaling_only(point):
+    # shapes where many outer representatives share an orbit; k2 = n and
+    # (2, 6, 2, 5), (3, 5, 2, 4) label the k2 side, the others the k1 side
+    p = Params(*point)
+    hist, count = oracle._pair_histogram(p, SYSTEMATIC, None)
+    assert hist == _column_scaling_histogram(p)
+    assert sum(hist) == count
+    _, _, z, maps = oracle._systematic_side(field_from_order(p.q), p)
+    label = oracle._orbit_classes(maps, z, p.q)[0]
+    assert all(np.array_equal(label[m], label) for m in maps)  # propagation ran to its fixed point
+
+
+def _small_systematic_points():
+    for q in ORBIT_QS:
+        for n in range(1, 7):
+            for k1 in range(1, n + 1):
+                for k2 in range(k1, n + 1):
+                    if systematic_count(q, n, k1) * systematic_count(q, n, k2) <= 1 << 20:
+                        yield q, n, k1, k2
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(list(_small_systematic_points())))
+def test_systematic_orbit_classes_property(point):
+    q, n, k1, k2 = point
+    pairs = systematic_count(q, n, k1) * systematic_count(q, n, k2)
+    k, mats, z, maps = oracle._systematic_side(field_from_order(q), Params(*point))
+    label, reps, weights = oracle._orbit_classes(maps, z, q)
+    index = np.arange(len(mats))
+    # the side with fewer representatives, at most the square root of the pairs
+    assert len(mats) == min(_side_representatives(q, n, k1), _side_representatives(q, n, k2)) <= math.isqrt(pairs)
+    assert sum(weights) == systematic_count(q, n, k)
+    for m in maps:
+        assert np.array_equal(np.sort(m), index)  # a permutation of the representatives
+        assert np.array_equal(label[m], label)
+    assert np.array_equal(reps, np.flatnonzero(label == index))
+    assert (label <= index).all()
 
 
 def test_orbit_decode_sized_by_columns_not_by_k():
