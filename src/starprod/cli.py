@@ -231,6 +231,8 @@ def cmd_intersect(args) -> int:
 
 def cmd_limit_q(args) -> int:
     qs = [int(tok) for tok in args.qlist.split(",") if tok.strip()]
+    if not qs:
+        raise BadRange(f"--qlist {args.qlist!r} names no field order")
     lines, rows = [], []
     for q in qs:
         p = exact.Params(q=q, n=args.n, k1=args.k1, k2=args.k2)

@@ -19,7 +19,10 @@ Every count ranks one representative per column-scaling orbit instead:
 _orbit_blocks yields the fillings whose columns with free cells are zero
 or have topmost nonzero entry 1, each with z, its number of such nonzero
 columns, standing for (q-1)**z fillings (a Python-int weight, so results
-stay exact); _orbit_index inverts it.  Each count states why its
+stay exact); _orbit_index inverts it.  _orbit_count is the one counting
+loop: it tallies and weights every count's keyed representatives; the pair
+oracles build their inner side once and re-read the outer batches for
+each inner block.  Each count states why its
 statistic is the same on a whole orbit.  dim(C1 star C2) does not change
 when C1 or C2 is scaled column by column, each independently, so the
 pair oracles reduce both sides and the fixed-code oracle its enumerated
@@ -43,9 +46,9 @@ The systematic pair oracles rank one side by orbits of a larger group:
   most the square root of the pairs charged, 2**13 at the default budget.
 
 An EnumBudget is charged the number of items (pairs, subspaces or
-matrices) represented, not the number of orbit representatives ranked,
-so an oracle call raises BudgetExceeded at the same sizes whatever the
-enumeration ranks.
+matrices) represented, from _items, the one count per side, not the
+number of orbit representatives ranked, so an oracle call raises
+BudgetExceeded at the same sizes whatever the enumeration ranks.
 """
 
 from __future__ import annotations
@@ -222,38 +225,31 @@ def _packed(pieces, rows: int) -> Iterator[tuple]:
         yield concat(buf)
 
 
+def _orbit_count(field: FieldSpec, free, base, size: int, keys) -> list:
+    """The histogram over [0, size) of the values keys(mats, offset) yields
+    for each _SUBSPACE_BLOCK batch of orbit representatives of the masks,
+    offset being size*z by row, weighted by the (q-1)**z fillings each
+    stands for; z runs to the most columns with free cells in a mask."""
+    z_top = int(free.any(axis=1).sum(axis=1).max(initial=0))
+    blocks = _packed(_orbit_blocks(field, free, base, _SUBSPACE_BLOCK), _SUBSPACE_BLOCK)
+    keyed = dim_histogram(size * (z_top + 1), blocks, lambda block: keys(block[0], size * block[1]))
+    return _weighted(keyed, size, field.q)
+
+
 def _orbit_histogram(field: FieldSpec, stat, size: int, weights: list, outer, free, base) -> list:
-    """Exact histogram of stat over the pairs of a row of an outer (g1, c)
-    batch and an inner (g2, z2) orbit representative of the (free, base)
-    masks, each standing for weights[c] (a Python int) * (q-1)**z2 pairs, keyed
-    (z2*len(weights) + c)*size + dim; stat sees about _PAIR_BLOCK pairs a call."""
+    """Exact histogram of stat over the pairs of a row of a (g1, c) batch
+    of outer() and an inner orbit representative of the masks, each pair
+    standing for weights[c] (a Python int) * (q-1)**z2; outer() is re-read
+    for each inner block, and stat sees about _PAIR_BLOCK pairs a call."""
 
-    def inner_blocks():
-        return _packed(_orbit_blocks(field, free, base, _SUBSPACE_BLOCK), _SUBSPACE_BLOCK)
-
-    first = inner_blocks()
-    head = list(itertools.islice(first, 2))
-    # an inner side that fits one block is built once; otherwise the first
-    # outer batch finishes the blocks already built and later batches rebuild
-    started = [itertools.chain(head, first)]
-
-    def blocks():
-        if len(head) == 1:
-            return head
-        return started.pop() if started else inner_blocks()
-
-    classes = len(weights) * size
-
-    def keys(batch):
-        g1, c1 = batch
-        width = max(1, _PAIR_BLOCK // len(g1))
-        for g2, z2 in blocks():
+    def keys(g2, offset):
+        for g1, c1 in outer():
+            width = max(1, _PAIR_BLOCK // len(g1))
             for s in range(0, len(g2), width):
-                g2s, z2s = g2[None, s : s + width], z2[None, s : s + width]
-                yield stat(field, g1[:, None], g2s) + (size * c1[:, None] + classes * z2s).ravel()
+                g2s = g2[None, s : s + width]
+                yield stat(field, g1[:, None], g2s) + (size * c1[:, None] + offset[None, s : s + width]).ravel()
 
-    z_top = free.shape[2] - free.shape[1]  # the non-pivot columns of a (P, k, n) RREF mask
-    hist = _weighted(dim_histogram(classes * (z_top + 1), outer, keys), classes, field.q)
+    hist = _orbit_count(field, free, base, len(weights) * size, keys)
     return [sum(w * hist[c * size + d] for c, w in enumerate(weights)) for d in range(size)]
 
 
@@ -265,6 +261,12 @@ def systematic_count(q: int, n: int, k: int) -> int:
     return q ** ((n - k) * k)
 
 
+def _items(model: RandomModel, q: int, n: int, k: int) -> int:
+    """The number of items on one side of the model: systematic generator
+    matrices or k-dimensional subspaces of F_q^n."""
+    return systematic_count(q, n, k) if model is RandomModel.SYSTEMATIC else qbinom(n, k, q)
+
+
 def _check_dims(n: int, k: int) -> None:
     if not 1 <= k <= n:
         raise BadRange(f"need 1 <= k <= n, got k={k} n={n}")
@@ -272,20 +274,19 @@ def _check_dims(n: int, k: int) -> None:
 
 def enumerate_systematic(field: FieldSpec, n: int, k: int, budget=None) -> Iterator[LinearCode]:
     """Every systematic generator [I_k | A], one code object per matrix."""
-    _check_dims(n, k)
-    _budget(budget).charge(systematic_count(field.q, n, k))
-    yield from _rref_codes(field, n, k, RandomModel.SYSTEMATIC)
+    return _rref_codes(field, n, k, RandomModel.SYSTEMATIC, budget)
 
 
 def enumerate_subspaces(field: FieldSpec, n: int, k: int, budget=None) -> Iterator[LinearCode]:
     """Every k-dimensional subspace of F_q^n, exactly once."""
+    return _rref_codes(field, n, k, RandomModel.UNIFORM_SUBSPACE, budget)
+
+
+def _rref_codes(field: FieldSpec, n: int, k: int, model: RandomModel, budget) -> Iterator[LinearCode]:
+    """The codes of the model's canonical RREF bases, taken as they are;
+    the dimensions are checked and the budget charged on the first next()."""
     _check_dims(n, k)
-    _budget(budget).charge(qbinom(n, k, field.q))
-    yield from _rref_codes(field, n, k, RandomModel.UNIFORM_SUBSPACE)
-
-
-def _rref_codes(field: FieldSpec, n: int, k: int, model: RandomModel) -> Iterator[LinearCode]:
-    """The codes of the model's canonical RREF bases, taken as they are."""
+    _budget(budget).charge(_items(model, field.q, n, k))
     for free, base in zip(*_rref_masks(n, k, model)):
         pivots = tuple(np.flatnonzero(base.any(axis=0)).tolist())
         for block in _subspace_blocks(field, free[None], base[None], _SUBSPACE_BLOCK):
@@ -318,17 +319,16 @@ def _pair_histogram(p: Params, model: RandomModel, budget) -> tuple:
     of weight (q-1)**z, or systematic outer orbits of _systematic_side."""
     field = field_from_order(p.q)
     stat, size = pair_stat(p, model, star_dims)
+    count = _items(model, p.q, p.n, p.k1) * _items(model, p.q, p.n, p.k2)
+    _budget(budget).charge(count)
     if model is RandomModel.SYSTEMATIC:
-        count = systematic_count(p.q, p.n, p.k1) * systematic_count(p.q, p.n, p.k2)
-        _budget(budget).charge(count)
         k, mats, z, maps = _systematic_side(field, p)
         _, reps, weights = _orbit_classes(maps, z, p.q)
-        outer = [(mats[reps], np.arange(len(reps)))]  # one batch: at most 2**13 rows by default
-        inner = p.k1 + p.k2 - k
+        batches = [(mats[reps], np.arange(len(reps)))]  # one batch: at most 2**13 rows by default
+        outer, inner = (lambda: batches), p.k1 + p.k2 - k
     else:
-        count = qbinom(p.n, p.k1, p.q) * qbinom(p.n, p.k2, p.q)
-        _budget(budget).charge(count)
-        outer = _packed(_orbit_blocks(field, *_rref_masks(p.n, p.k1, model), _OUTER_BLOCK), _OUTER_BLOCK)
+        masks = _rref_masks(p.n, p.k1, model)
+        outer = lambda: _packed(_orbit_blocks(field, *masks, _OUTER_BLOCK), _OUTER_BLOCK)
         weights = [(p.q - 1) ** z for z in range(p.n - p.k1 + 1)]
         inner = p.k2
     return _orbit_histogram(field, stat, size, weights, outer, *_rref_masks(p.n, inner, model)), count
@@ -353,9 +353,9 @@ def _fixed_histogram(field: FieldSpec, basis: np.ndarray, ell: int, stat) -> lis
     outer batch of _orbit_histogram, and every ell-dim subspace D, D
     running over column-scaling orbits.  The caller charges the budget."""
     k, n = basis.shape
-    outer = [(basis.astype(field._dtype)[None], np.zeros(1, dtype=np.int64))]
+    batches = [(basis.astype(field._dtype)[None], np.zeros(1, dtype=np.int64))]
     masks = _rref_masks(n, ell, RandomModel.UNIFORM_SUBSPACE)
-    return _orbit_histogram(field, stat, min(k * ell, n) + 1, [1], outer, *masks)
+    return _orbit_histogram(field, stat, min(k * ell, n) + 1, [1], lambda: batches, *masks)
 
 
 def exact_expected_star_dim_fixed(
@@ -367,7 +367,7 @@ def exact_expected_star_dim_fixed(
     split and runs on the calling thread whatever its value.
     """
     _check_dims(c.n, ell)
-    count = qbinom(c.n, ell, c.field.q)
+    count = _items(RandomModel.UNIFORM_SUBSPACE, c.field.q, c.n, ell)
     _budget(budget).charge(count)
     return _mean(_fixed_histogram(c.field, c.basis.data, ell, star_dims), count)
 
@@ -386,8 +386,8 @@ def exact_expected_intersection(p: Params, budget=None) -> Fraction:
 
     The budget is charged the qbinom(n,k1,q)*qbinom(n,k2,q) pairs represented.
     """
-    inner = qbinom(p.n, p.k2, p.q)
-    _budget(budget).charge(qbinom(p.n, p.k1, p.q) * inner)
+    inner = _items(RandomModel.UNIFORM_SUBSPACE, p.q, p.n, p.k2)
+    _budget(budget).charge(_items(RandomModel.UNIFORM_SUBSPACE, p.q, p.n, p.k1) * inner)
     return _mean(_fixed_histogram(field_from_order(p.q), np.eye(p.k1, p.n), p.k2, meet_dims), inner)
 
 
@@ -397,11 +397,9 @@ def count_support_oracle(q: int, n: int, ell: int, budget=None) -> list:
     bases: a column scaled by a nonzero scalar stays zero or nonzero, so
     every basis of an orbit has the same support."""
     _check_dims(n, ell)
-    _budget(budget).charge(qbinom(n, ell, q))
+    _budget(budget).charge(_items(RandomModel.UNIFORM_SUBSPACE, q, n, ell))
     masks = _rref_masks(n, ell, RandomModel.UNIFORM_SUBSPACE)
-    blocks = _packed(_orbit_blocks(field_from_order(q), *masks, _SUBSPACE_BLOCK), _SUBSPACE_BLOCK)
-    keyed = dim_histogram((n + 1) * (n - ell + 1), blocks, lambda b: [b[0].any(axis=1).sum(axis=1) + (n + 1) * b[1]])
-    return _weighted(keyed, n + 1, q)
+    return _orbit_count(field_from_order(q), *masks, n + 1, lambda mats, off: [mats.any(axis=1).sum(axis=1) + off])
 
 
 @dataclass
@@ -428,15 +426,12 @@ def count_zero_diag_oracle(k1: int, k2: int, q: int, budget=None) -> ZeroDiagCou
     free = ~np.eye(k1, k2, dtype=bool)[None]
     _budget(budget).charge(q ** int(free.sum()))  # _orbit_blocks raises TooLarge past int64 indices
     w = k2 - k1
-    size = (k1 + 1) << w
 
-    def keys(block):
-        mats, z = block
+    def keys(mats, offset):
         zero_cols = (mats[:, :, k1:] == 0).all(axis=1)
-        yield rank_many(field, mats) * (1 << w) + zero_cols @ (1 << np.arange(w, dtype=np.int64)) + size * z
+        yield rank_many(field, mats) * (1 << w) + zero_cols @ (1 << np.arange(w, dtype=np.int64)) + offset
 
-    blocks = _orbit_blocks(field, free, np.zeros(free.shape, dtype=np.int64), _SUBSPACE_BLOCK)
-    counts = _weighted(dim_histogram(size * (k2 + 1), blocks, keys), size, q)
+    counts = _orbit_count(field, free, np.zeros(free.shape, dtype=np.int64), (k1 + 1) << w, keys)
     out = ZeroDiagCounts()
     for index, c in enumerate(counts):
         if c:

@@ -128,6 +128,13 @@ def test_limit_q_subcommand(capsys):
     assert len(lines) == 3 and lines[0].startswith("q=2:")
 
 
+@pytest.mark.parametrize("fmt", [(), ("--format", "json")])
+@pytest.mark.parametrize("qlist", [",", "", " , "])
+def test_limit_q_empty_qlist_is_a_usage_error(capsys, qlist, fmt):
+    code, out, err = run(capsys, "limit-q", "-n", "7", "-k1", "2", "-k2", "3", "--qlist", qlist, *fmt)
+    assert code == 2 and "names no field order" in err and out == ""
+
+
 def test_apps_pir_and_sdmm(tmp_path, capsys):
     f5 = field_make(5)
     from conftest import grs_code

@@ -210,6 +210,22 @@ def test_shipped_modulus_is_primitive(p, m):
     assert (f._log[f._exp] == np.arange(f.q - 1)).all()
 
 
+def test_shipped_moduli_have_least_encoding(monkeypatch):
+    # each shipped modulus is the monic polynomial of least encoding
+    # sum c_i p**i (constant term first) that makes x primitive, the rule
+    # tools/gen_modulus_table.py generates the table by: FieldSpec refuses
+    # every monic candidate of smaller encoding
+    import starprod.fields as fields_mod
+
+    for (p, m), modulus in sorted(MODULI.items()):
+        if p**m > 4096:
+            continue
+        for low in range(sum(c * p**i for i, c in enumerate(modulus[:m]))):
+            monkeypatch.setattr(fields_mod, "MODULI", {(p, m): tuple(low // p**i % p for i in range(m)) + (1,)})
+            with pytest.raises(NoModulusTableEntry):
+                FieldSpec(p, m)
+
+
 def _times_x(field, v):
     """x * v in GF(p^m) by schoolbook polynomial arithmetic on base-p digits."""
     p, m = field.p, field.m

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -525,6 +525,40 @@ def test_orbit_index_inverts_orbit_blocks(data):
     assert np.array_equal(oracle._orbit_index(field, free, field.mul(reps, scales)), index)
 
 
+@st.composite
+def _stacked_masks(draw):
+    """(free, base, q): stacked masks drawn as in
+    test_orbit_blocks_expand_to_every_filling_once."""
+    k, n, masks = draw(st.integers(0, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    free = draw(arrays(bool, (masks, k, n)))
+    cells = int(free.sum(axis=(1, 2)).max())
+    q = draw(st.sampled_from([q for q in ORBIT_QS if q**cells <= 1 << 12]))
+    base = draw(arrays(np.int64, free.shape, elements=st.integers(0, q - 1)))
+    base[free.any(axis=1, keepdims=True).repeat(k, axis=1)] = 0
+    return free, base, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacked_masks())
+@example((np.zeros((2, 0, 3), dtype=bool), np.zeros((2, 0, 3), dtype=np.int64), 3))  # k = 0 rows
+@example((np.ones((1, 2, 3), dtype=bool), np.zeros((1, 2, 3), dtype=np.int64), 3))  # 3 free columns, n - k = 1
+@example((np.array([[[1, 0, 0], [0, 0, 0]], [[1, 1, 1], [0, 1, 1]]], bool), np.zeros((2, 2, 3), np.int64), 4))
+def test_orbit_count_equals_full_enumeration(masks):
+    # keyed by the rank and the number of nonzero columns, which column
+    # scaling keeps, _orbit_count's weighted histogram is the full one
+    free, base, q = masks
+    field = field_from_order(q)
+    _, k, n = free.shape
+    size = (k + 1) * (n + 1)
+
+    def key(mats):
+        return rank_many(field, mats) * (n + 1) + (mats != 0).any(axis=1).sum(axis=1)
+
+    full = np.concatenate(list(oracle._subspace_blocks(field, free, base, 1 << 15)))
+    counts = oracle._orbit_count(field, free, base, size, lambda mats, offset: [key(mats) + offset])
+    assert counts == np.bincount(key(full), minlength=size).tolist()
+
+
 # -- permutation orbits on the systematic side ---------------------------------
 
 SYSTEMATIC = RandomModel.SYSTEMATIC
@@ -535,7 +569,7 @@ def _column_scaling_histogram(p):
     representative ranked, each weighted by (q-1)**z1: no permutation orbits."""
     field = field_from_order(p.q)
     stat, size = pair_stat(p, SYSTEMATIC, star_dims)
-    outer = oracle._packed(oracle._orbit_blocks(field, *oracle._rref_masks(p.n, p.k1, SYSTEMATIC), 64), 64)
+    outer = lambda: oracle._packed(oracle._orbit_blocks(field, *oracle._rref_masks(p.n, p.k1, SYSTEMATIC), 64), 64)
     weights = [(p.q - 1) ** z for z in range(p.n - p.k1 + 1)]
     return oracle._orbit_histogram(field, stat, size, weights, outer, *oracle._rref_masks(p.n, p.k2, SYSTEMATIC))
 
@@ -658,6 +692,7 @@ def test_oracle_histograms_independent_of_block_sizes(monkeypatch, subspace_bloc
     code = random_code(field_from_order(5), 5, 2, rng)
     points = [
         lambda: oracle._fixed_histogram(code.field, code.basis.data, 2, star_dims),
+        lambda: oracle._pair_histogram(Params(3, 4, 1, 2), RandomModel.UNIFORM_SUBSPACE, None),
         lambda: oracle._pair_histogram(Params(3, 4, 2, 2), RandomModel.SYSTEMATIC, None),
         lambda: oracle._pair_histogram(Params(4, 4, 2, 2), RandomModel.UNIFORM_SUBSPACE, None),
         lambda: _one_outer_histogram(Params(3, 4, 2, 2), np.eye(2, 4)),
@@ -665,24 +700,30 @@ def test_oracle_histograms_independent_of_block_sizes(monkeypatch, subspace_bloc
     built = []
     orbit_blocks = oracle._orbit_blocks
 
-    def counted(*args):
-        for piece in orbit_blocks(*args):
-            built.append(len(piece[1]))
+    def counted(field, free, base, block):
+        for piece in orbit_blocks(field, free, base, block):
+            built.append((free.shape[1], len(piece[1])))
             yield piece
 
-    def fixed_rows_built():
+    def inner_rows_built(call):
+        # the inner side is the ell = 2 or k2 = 2 one; the uniform outer side has k1 = 1
         built.clear()
-        points[0]()
-        return sum(built)
+        call()
+        return sum(rows for k, rows in built if k == 2)
 
+    # the inner sides of the fixed-code point and of the uniform (3, 4, 1, 2) point
+    inner = [
+        (points[0], code.field, oracle._rref_masks(5, 2, RandomModel.UNIFORM_SUBSPACE)),
+        (points[1], field_from_order(3), oracle._rref_masks(4, 2, RandomModel.UNIFORM_SUBSPACE)),
+    ]
+    reps = [sum(len(z) for _, z in orbit_blocks(field, *masks, 1 << 15)) for _, field, masks in inner]
     monkeypatch.setattr(oracle, "_orbit_blocks", counted)
-    masks = oracle._rref_masks(5, 2, RandomModel.UNIFORM_SUBSPACE)
-    reps = sum(len(z) for _, z in orbit_blocks(code.field, *masks, 1 << 15))
     default = [call() for call in points]
-    assert fixed_rows_built() == reps  # one inner block, built once
+    assert [inner_rows_built(call) for call, _, _ in inner] == reps  # one inner block, built once
     monkeypatch.setattr(oracle, "_SUBSPACE_BLOCK", subspace_block)
     monkeypatch.setattr(oracle, "_PAIR_BLOCK", pair_block)
     monkeypatch.setattr(oracle, "_OUTER_BLOCK", outer_block)
-    assert len(list(oracle._packed(orbit_blocks(code.field, *masks, subspace_block), subspace_block))) > 1
+    for _, field, masks in inner:
+        assert len(list(oracle._packed(orbit_blocks(field, *masks, subspace_block), subspace_block))) > 1
     assert [call() for call in points] == default
-    assert fixed_rows_built() == reps  # several inner blocks, each built once
+    assert [inner_rows_built(call) for call, _, _ in inner] == reps  # several inner blocks, each built once

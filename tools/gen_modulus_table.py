@@ -9,7 +9,9 @@ group of GF(p)[x]/(f).  Primitivity of x implies irreducibility of f, so a
 single order computation certifies both.
 
 The table is committed so that installs never depend on this script; rerun
-it only if the q limit changes.
+it only if the q limit changes.  Without sympy,
+tests/test_fields.py::test_shipped_moduli_have_least_encoding checks this
+rule for every shipped modulus with q <= 4096.
 """
 
 from __future__ import annotations
