@@ -7,56 +7,50 @@ multiplication, and the feasibility envelope for binary CSS-T code pairs.
 Optional outputs that need a minimum-distance enumeration are suppressed
 (set to None) when the enumeration budget does not allow them, rather
 than approximated.
+
+The CSS-T envelope c1 meet (c1 star c1)-dual is the kernel of
+x -> x G1 S^T on messages, S the basis of the square, so its dimension
+is k1 - rank(G1 S^T) and no dual is built.  The three reports share one
+JSON codec, _Report: fields in declaration order, a field declared
+Fraction written as "num/den" and read back by Fraction(), None as null.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
-from .codes import (
-    DEFAULT_DISTANCE_BUDGET,
-    LinearCode,
-    _dual_distance,
-    dual,
-    intersection_dim,
-    is_subcode,
-    min_distance,
-    star_product,
-)
+from .codes import DEFAULT_DISTANCE_BUDGET, LinearCode, _dual_distance, is_subcode, min_distance, star_product
 from .errors import BudgetExceeded, NotBinary
+from .matrices import Mat, _combine, rank
+
+
+class _Report:
+    """JSON codec of the report dataclasses (see the module docstring)."""
+
+    def to_json(self) -> dict:
+        text = "{0.numerator}/{0.denominator}".format
+        return {f.name: _convert(f, getattr(self, f.name), text) for f in fields(self)}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "_Report":
+        return cls(*(_convert(f, obj[f.name], Fraction) for f in fields(cls)))
+
+
+def _convert(attr, value, fraction):
+    """fraction(value) if the dataclass field attr is declared (Optional) Fraction, else value."""
+    return fraction(value) if value is not None and "Fraction" in attr.type else value
 
 
 @dataclass(frozen=True)
-class PirReport:
+class PirReport(_Report):
     """Retrieval-rate bounds of a star-product retrieval scheme."""
 
     n: int
     star_dim: int
     rate_upper: Fraction
     rate_lower: Optional[Fraction]
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "star_dim": self.star_dim,
-            "rate_upper": f"{self.rate_upper.numerator}/{self.rate_upper.denominator}",
-            "rate_lower": (
-                None
-                if self.rate_lower is None
-                else f"{self.rate_lower.numerator}/{self.rate_lower.denominator}"
-            ),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "PirReport":
-        return PirReport(
-            obj["n"],
-            obj["star_dim"],
-            Fraction(obj["rate_upper"]),
-            None if obj["rate_lower"] is None else Fraction(obj["rate_lower"]),
-        )
 
 
 def pir_rate_bounds(
@@ -78,25 +72,13 @@ def pir_rate_bounds(
 
 
 @dataclass(frozen=True)
-class SdmmReport:
+class SdmmReport(_Report):
     """Recovery threshold and straggler tolerance of a linear scheme."""
 
     servers: int
     star_distance: int
     recovery: int
     stragglers: int
-
-    def to_json(self) -> dict:
-        return {
-            "servers": self.servers,
-            "star_distance": self.star_distance,
-            "recovery": self.recovery,
-            "stragglers": self.stragglers,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "SdmmReport":
-        return SdmmReport(obj["servers"], obj["star_distance"], obj["recovery"], obj["stragglers"])
 
 
 def sdmm_thresholds(
@@ -110,23 +92,12 @@ def sdmm_thresholds(
 
 
 @dataclass(frozen=True)
-class CsstReport:
+class CsstReport(_Report):
     """Feasibility of completing a binary code into a CSS-T style pair."""
 
     feasible: bool
     envelope_dim: int
     distance_floor: Optional[int]
-
-    def to_json(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "envelope_dim": self.envelope_dim,
-            "distance_floor": self.distance_floor,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "CsstReport":
-        return CsstReport(obj["feasible"], obj["envelope_dim"], obj["distance_floor"])
 
 
 def csst_envelope(
@@ -136,24 +107,19 @@ def csst_envelope(
     given c2 sits inside it.
 
     A nonzero envelope is exactly what a second code needs to complete
-    the pair; when c2 is supplied, feasibility additionally requires
-    c2 inside c1 and inside the dual of the square.  distance_floor is
-    the dual distance of c2, a floor on the resulting code's distance.
+    the pair; when c2 is supplied, feasibility requires c2 inside c1
+    and orthogonal to the square.  distance_floor is the dual distance
+    of c2, a floor on the resulting code's distance.
     """
     if c1.field.q != 2:
         raise NotBinary("CSS-T feasibility is defined for GF(2) codes")
-    square = star_product(c1, c1)
-    if square.k == square.n:
-        square_dual = None
-        envelope_dim = 0
-    else:
-        square_dual = dual(square)
-        envelope_dim = intersection_dim(c1, square_dual)
+    s_t = star_product(c1, c1).basis.data.T
+    envelope_dim = c1.k - rank(Mat._trusted(c1.field, _combine(c1.field, c1.basis.data, s_t)))
     feasible = envelope_dim >= 1
     distance_floor = None
     if c2 is not None:
-        inside = is_subcode(c2, c1) and square_dual is not None and is_subcode(c2, square_dual)
-        feasible = feasible and inside
+        # c2 is nonzero, so c2 inside the envelope makes it nonzero
+        feasible = is_subcode(c2, c1) and not _combine(c1.field, c2.basis.data, s_t).any()
         if c2.k < c2.n:
             try:
                 distance_floor = _dual_distance(c2, budget)

@@ -64,10 +64,6 @@ def _params(args) -> exact.Params:
     return exact.Params(q=args.q, n=args.n, k1=args.k1, k2=args.k2)
 
 
-def _model(args) -> RandomModel:
-    return RandomModel.UNIFORM_SUBSPACE if args.model == "uniform" else RandomModel.SYSTEMATIC
-
-
 def _load_code(path):
     return code_from_matrix(load_matrix(path))
 
@@ -94,7 +90,7 @@ def cmd_expect_kernel(args) -> int:
 
 def cmd_mc(args) -> int:
     p = _params(args)
-    model = _model(args)
+    model = RandomModel(args.model)
     fn = {
         "star-dim": sampling.mc_star_dim,
         "kernel-size": sampling.mc_kernel_size,
@@ -278,10 +274,9 @@ def cmd_example_mds(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_params(sp, with_n=True):
+def _add_params(sp):
     sp.add_argument("-q", type=int, required=True, help="field order (prime power)")
-    if with_n:
-        sp.add_argument("-n", type=int, required=True, help="code length")
+    sp.add_argument("-n", type=int, required=True, help="code length")
     sp.add_argument("-k1", type=int, required=True, help="first dimension")
     sp.add_argument("-k2", type=int, required=True, help="second dimension")
 

@@ -2,10 +2,11 @@
 
 Every sample index owns a fixed slice of a Philox counter stream keyed by
 the seed, so sample i draws the same field elements no matter how the
-work is chunked or how many threads run.  Chunks of _CHUNK samples are
-counted into one exact histogram by _tally.dim_histogram, and each
-estimate is an exact integer sum over it; floating point enters only in
-the final mean/stderr rendering.
+work is chunked or how many threads run.  A seed outside [0, 2**64) is a
+BadRange, checked once per call (_check_seed), never wrapped.  Chunks
+of _CHUNK samples are counted into one exact histogram by
+_tally.dim_histogram, and each estimate is an exact integer sum over it;
+floating point enters only in the final mean/stderr rendering.
 
 The uniform-subspace model draws a canonical RREF basis directly: the
 subspaces with pivot columns P number q**(free cells of P), so a column,
@@ -34,7 +35,6 @@ from .fields import FieldSpec, _mod, field_from_order
 from .matrices import Mat, _rref_cells
 
 _KEY_CONST = 0x5374617250726F64  # stream key tag
-_MASK64 = (1 << 64) - 1
 _CHUNK = 4096
 
 DEFAULT_SAMPLES = 100_000
@@ -50,9 +50,14 @@ def _raw_words(seed: int, start_sample: int, count: int, wps: int) -> np.ndarray
     wps (words per sample) must be a multiple of 4 so each sample owns a
     whole number of Philox blocks and slicing is chunk-independent.
     """
-    ph = np.random.Philox(key=np.array([seed & _MASK64, _KEY_CONST], dtype=np.uint64))
+    ph = np.random.Philox(key=np.array([seed, _KEY_CONST], dtype=np.uint64))
     ph.advance(start_sample * (wps // 4))
     return ph.random_raw(count * wps).reshape(count, wps)
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise BadRange(f"seed must lie in [0, 2**64), got {seed}")
 
 
 def _round4(w: int) -> int:
@@ -132,10 +137,14 @@ def sample_code(
     """Draw the code with the given sample index from the seed's stream.
 
     Deterministic: the same (field, n, k, model, seed, index) always
-    yields the same code.
+    yields the same code.  The seed must lie in [0, 2**64) and the index
+    be >= 0 (BadRange).
     """
     if not 1 <= k <= n:
         raise BadRange(f"need 1 <= k <= n, got k={k} n={n}")
+    _check_seed(seed)
+    if index < 0:
+        raise BadRange(f"need index >= 0, got {index}")
     code_words, from_words = _LAYOUT[model]
     g, _ = from_words(field, _raw_words(seed, index, 1, _round4(code_words(n, k))), n, k, 0)
     return code_from_matrix(Mat(field, g[0]))
@@ -220,6 +229,7 @@ def _sample_histogram(p: Params, model, samples, seed, threads, stat) -> list:
     _tally.pair_stat) over the sample range, one job per _CHUNK samples."""
     if samples < 1:
         raise BadRange(f"need samples >= 1, got {samples}")
+    _check_seed(seed)
     field = field_from_order(p.q)
     stat, size = pair_stat(p, model, stat)
     chunks = [(s, min(_CHUNK, samples - s)) for s in range(0, samples, _CHUNK)]

@@ -1,12 +1,18 @@
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from starprod import (
     Mat,
     code_from_matrix,
     csst_envelope,
+    dual,
     field_make,
+    min_distance,
     pir_rate_bounds,
     sdmm_thresholds,
 )
@@ -121,6 +127,59 @@ def test_csst_membership_check():
     inside = code_from_matrix(Mat(f2, [[1, 1, 1, 1]]))
     rep = csst_envelope(c1, inside)
     assert rep.feasible == (rep.envelope_dim >= 1)
+
+
+def _bits(rows, cols):
+    return st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def csst_cases(draw):
+    """(n, rows of c1, how c2 is drawn, rows of c2 or coefficients over c1's rows)."""
+    n = draw(st.integers(1, 8))
+    g1 = draw(_bits(draw(st.integers(1, n)), n))
+    mode = draw(st.sampled_from(("none", "random", "subcode", "c1")))
+    g2 = draw(_bits(draw(st.integers(1, n)), len(g1) if mode == "subcode" else n))
+    return n, g1, mode, g2
+
+
+def _words(basis):
+    """Every codeword of a GF(2) basis, one row per message."""
+    msgs = np.array(list(itertools.product((0, 1), repeat=basis.shape[0])))
+    return msgs @ basis % 2
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(csst_cases())
+@example((3, [[1, 1, 0], [0, 1, 1]], "random", [[1, 0, 1]]))  # the square is F_2^3
+@example((3, [[1, 1, 0], [0, 1, 1]], "none", [[1, 0, 1]]))
+@example((4, [[1, 1, 1, 1]], "c1", [[1, 1, 1, 1]]))
+@example((4, [[1, 1, 0, 0], [0, 0, 1, 1]], "subcode", [[1, 1]]))
+def test_csst_envelope_equals_brute_force(case):
+    # the envelope counted from all 2**k1 messages whose codeword is
+    # orthogonal to every pairwise product of c1's basis rows
+    n, g1, mode, g2 = case
+    f2 = field_make(2)
+    g1 = np.array(g1)
+    assume(g1.any())
+    c1 = code_from_matrix(Mat(f2, g1))
+    c2 = None if mode == "none" else c1
+    if mode in ("random", "subcode"):
+        rows = np.array(g2) @ g1 % 2 if mode == "subcode" else np.array(g2)
+        assume(rows.any())
+        c2 = code_from_matrix(Mat(f2, rows))
+    b1 = c1.basis.data
+    products = (b1[:, None, :] * b1[None, :, :]).reshape(-1, n)
+    orthogonal = ~(_words(b1) @ products.T % 2).any(axis=1)
+    envelope_dim = int(orthogonal.sum()).bit_length() - 1
+    feasible, floor = envelope_dim >= 1, None
+    if c2 is not None:
+        in_c1 = {w.tobytes() for w in _words(b1)}
+        w2 = _words(c2.basis.data)
+        feasible = all(w.tobytes() in in_c1 for w in w2) and not (w2 @ products.T % 2).any()
+        floor = None if c2.k == n else min_distance(dual(c2))
+    rep = csst_envelope(c1, c2)
+    assert (rep.feasible, rep.envelope_dim, rep.distance_floor) == (feasible, envelope_dim, floor)
 
 
 def test_csst_requires_binary():

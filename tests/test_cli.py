@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 from starprod import Estimate, Mat, field_make, save_matrix
-from starprod.catalog import mds63_gf7_codes, repetition_code
+from starprod.catalog import (
+    evaluation_code,
+    full_space,
+    hamming_7_4,
+    mds63_gf7_codes,
+    repetition_code,
+    single_coordinate_code,
+)
 from starprod.cli import main
 from starprod.matrices import identity
 from starprod.oracle import exact_expected_star_dim_fixed
@@ -183,6 +190,54 @@ def test_apps_bad_matrix_entries_exit(tmp_path, capsys):
 def test_apps_missing_file_exit(tmp_path, capsys):
     code, _, err = run(capsys, "apps", "csst", "--c1", str(tmp_path / "nope.mat"))
     assert code == 4
+
+
+APPS_STDOUT = [
+    (("pir", "--c", "ev2", "--d", "ev3"), '{"n": 7, "star_dim": 4, "rate_upper": "3/7", "rate_lower": "3/7"}'),
+    # the star of F_2^4 with itself is the full space
+    (("pir", "--c", "full4", "--d", "full4"), '{"n": 4, "star_dim": 4, "rate_upper": "0/1", "rate_lower": "0/1"}'),
+    (("sdmm", "--ca", "ev2", "--cb", "ev3"), '{"servers": 7, "star_distance": 4, "recovery": 4, "stragglers": 3}'),
+    (("csst", "--c1", "rep4"), '{"feasible": true, "envelope_dim": 1, "distance_floor": null}'),
+    (("csst", "--c1", "rep4", "--c2", "rep4"), '{"feasible": true, "envelope_dim": 1, "distance_floor": 2}'),
+    (("csst", "--c1", "rep4", "--c2", "e0"), '{"feasible": false, "envelope_dim": 1, "distance_floor": 1}'),
+    (("csst", "--c1", "ham"), '{"feasible": false, "envelope_dim": 0, "distance_floor": null}'),
+    (("csst", "--c1", "full4", "--c2", "rep4"), '{"feasible": false, "envelope_dim": 0, "distance_floor": 2}'),
+]
+
+
+@pytest.mark.parametrize("argv,want", APPS_STDOUT)
+def test_apps_exact_stdout(tmp_path, capsys, argv, want):
+    # byte-exact report lines, key order included, on catalog codes
+    f2, f7 = field_make(2), field_make(7)
+    codes = {
+        "ev2": evaluation_code(f7, 2),
+        "ev3": evaluation_code(f7, 3),
+        "full4": full_space(f2, 4),
+        "rep4": repetition_code(f2, 4),
+        "e0": single_coordinate_code(f2, 4, 0),
+        "ham": hamming_7_4(),
+    }
+    for name, c in codes.items():
+        save_matrix(c.basis, tmp_path / name)
+    code, out, err = run(capsys, "apps", *(str(tmp_path / a) if a in codes else a for a in argv))
+    assert (code, out, err) == (0, want + "\n", "")
+
+
+@pytest.mark.parametrize("seed", [str(-1), str(2**64), str(-(2**64))])
+def test_mc_seed_outside_64_bits_is_a_usage_error(capsys, seed):
+    # a seed is a Philox key word: it is refused, not wrapped onto another seed's stream
+    code, out, err = run(capsys, "mc", "-q", "2", "-n", "7", "-k1", "2", "-k2", "3", "--samples", "3000", "--seed", seed)
+    assert code == 2 and out == "" and f"seed must lie in [0, 2**64), got {seed}" in err
+
+
+def test_mc_seed_bounds_run(capsys):
+    sums = {}
+    for seed in ("0", str(2**64 - 1)):
+        code, out, _ = run(capsys, "mc", "-q", "2", "-n", "7", "-k1", "2", "-k2", "3", "--samples", "3000", "--seed", seed)
+        obj = json.loads(out)
+        assert code == 0 and obj["seed"] == int(seed)
+        sums[seed] = obj["sum"]
+    assert sums == {"0": "13890", str(2**64 - 1): "13898"}
 
 
 def test_example_mds_custom_code(tmp_path, capsys):

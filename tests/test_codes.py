@@ -500,13 +500,14 @@ def test_dual_distance_bound_and_floor_build_no_dual(monkeypatch):
 
     for module, name in (
         (codes, "dual"),
-        (apps, "dual"),
         (codes, "_kernel_basis"),
         (matrices, "_kernel_basis"),
         (matrices, "right_kernel_basis"),
         (codes, "_enumerated_min_weights"),
     ):
         monkeypatch.setattr(module, name, refuse)
+    # apps imports no dual; the refusal still fires should it ever import one
+    monkeypatch.setattr(apps, "dual", refuse, raising=False)
     assert [star_lower_bound_dual_distance(c1, c2) for c1, c2 in pairs] == want_bounds
     # c1 = F_2^n squares to the full space, so the envelope needs no dual either
     floors = [csst_envelope(full_space(f2, c2.n), c2).distance_floor for _, c2 in pairs[1:]]
@@ -557,6 +558,13 @@ def test_project():
         project(single_coordinate_code(f2, 3, 0), [1, 2])
     with pytest.raises(ValueError):
         project(h, [])
+
+
+def test_project_coordinates_outside_length():
+    h = hamming_7_4()
+    for coords in ([0, 7], [-1, 2]):
+        with pytest.raises(ValueError, match="outside"):
+            project(h, coords)
 
 
 def test_is_mds():

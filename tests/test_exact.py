@@ -155,6 +155,16 @@ def test_count_zero_diag_zerocols_consistency():
                     assert total == count_zero_diag_rank(k1, k2, r, q)
 
 
+def test_count_primitives_reject_out_of_range_dimensions():
+    with pytest.raises(BadRange, match="r <= k1"):
+        count_zero_diag_rank_zerocols(2, 3, 3, 0, 2)  # r > k1
+    for k1, k2 in ((0, 2), (2, 0), (-1, 1)):
+        with pytest.raises(BadRange, match="must be >= 1"):
+            zeros_of_form(0, k1, k2, 2)
+        with pytest.raises(BadRange, match="must be >= 1"):
+            kernel_conjecture_value(2, k1, k2)
+
+
 def test_zeros_of_form_examples():
     assert zeros_of_form(0, 2, 3, 5) == 5**5
     assert zeros_of_form(1, 1, 1, 2) == 3

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from starprod import Mat, field_make, format_matrix, load_matrix, mat_mul, parse_matrix, rank, rank_many, right_kernel_basis, rref, save_matrix
-from starprod.errors import TooLarge
-from starprod.matrices import identity, zeros
+from starprod.errors import FieldMismatch, TooLarge
+from starprod.matrices import identity, stack, zeros
 
 
 def test_rref_identity_and_zero():
@@ -267,6 +267,23 @@ def test_matrix_validation():
         Mat(f3, [[0, 3]])  # entry out of range
     with pytest.raises(TooLarge):
         zeros(f3, 1, 4097)
+
+
+def test_matrix_shape_and_field_validation():
+    f2, f3 = field_make(2), field_make(3)
+    with pytest.raises(ValueError, match="2-dimensional"):
+        Mat(f3, np.zeros((2, 2, 2), dtype=np.int64))
+    a, b = Mat(f2, [[1, 0]]), Mat(f3, [[1, 0]])
+    with pytest.raises(FieldMismatch):
+        stack(a, b)
+    with pytest.raises(FieldMismatch):
+        mat_mul(a, Mat(f3, [[1], [0]]))
+    with pytest.raises(ValueError, match="column counts"):
+        stack(a, Mat(f2, [[1, 0, 1]]))
+    with pytest.raises(ValueError, match="inner dimensions"):
+        mat_mul(a, Mat(f2, [[1, 0]]))
+    entry = Mat(f3, [[2, 1]])[0, 0]
+    assert type(entry) is int and entry == 2
 
 
 def test_matrix_rejects_non_integer_data():

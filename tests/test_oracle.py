@@ -239,6 +239,14 @@ def test_monomial_invariance():
         monomial_invariance_check(parity, Mat(f2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]), 1)
 
 
+def test_monomial_invariance_wrong_size():
+    f2 = field_make(2)
+    parity = code_from_matrix(Mat(f2, [[1, 0, 1], [0, 1, 1]]))
+    for wrong in (Mat(f2, [[1, 0], [0, 1]]), Mat(f2, [[1, 0, 0], [0, 1, 0]])):
+        with pytest.raises(NotMonomial, match="3 x 3"):
+            monomial_invariance_check(parity, wrong, 1)
+
+
 def test_monomial_invariance_gf7():
     c1, _ = mds63_gf7_codes()
     f7 = field_make(7)

@@ -82,6 +82,33 @@ def test_sample_code_validation():
         sample_code(f2, 3, 4)
 
 
+def test_seed_and_index_outside_the_stream_raise():
+    # the Philox key holds a 64-bit seed and a sample index owns the slice at
+    # its counter: a value outside either is refused, never wrapped
+    f2 = field_make(2)
+    p = Params(2, 7, 2, 3)
+    for seed in (-1, 2**64, -(2**64), 2**65 + 7):
+        with pytest.raises(BadRange, match="seed must lie in"):
+            sample_code(f2, 5, 2, seed=seed)
+        for mc in (mc_star_dim, mc_kernel_size, mc_full_dim_frequency):
+            with pytest.raises(BadRange, match="seed must lie in"):
+                mc(p, RandomModel.SYSTEMATIC, 10, seed)
+        with pytest.raises(BadRange, match="seed must lie in"):
+            mc_intersection_dim(p, 10, seed)
+    with pytest.raises(BadRange, match="index"):
+        sample_code(f2, 5, 2, seed=1, index=-1)
+    for seed in (0, 2**64 - 1):
+        for model in RandomModel:
+            assert sample_code(f2, 5, 2, model, seed=seed, index=3).k == 2
+        assert mc_star_dim(p, RandomModel.SYSTEMATIC, 10, seed).seed == seed
+
+
+def test_stderr_overflow_is_infinite():
+    # a variance beyond the float range renders as inf, not OverflowError
+    assert sampling._stderr_from_sums(0, 10**700, 2) == math.inf
+    assert sampling._stderr_from_sums(3, 9, 1) == 0.0
+
+
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 5, 2), (4, 4, 2), (2, 6, 3)])
 def test_pivot_thresholds_exact(q, n, k):
     # walking the columns with the threshold table picks each pivot set P
