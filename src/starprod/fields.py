@@ -50,7 +50,11 @@ def _mod(x: np.ndarray, q: int) -> np.ndarray:
     x - (x // q) * q: the same residues, and about half the time on arrays
     that fit in cache, since numpy divides by a scalar through libdivide
     for // but not for %.  Exact in any signed dtype holding x and q: the
-    product may wrap, but the wrap cancels modulo 2**bits (the residue fits)."""
+    product may wrap, but the wrap cancels modulo 2**bits (the residue fits).
+    A power of two q takes x & (q - 1), the same residue in two's
+    complement and in unsigned dtypes, at a fraction of the cost."""
+    if q & (q - 1) == 0:
+        return x & (q - 1)
     t = x // q
     t *= q
     return np.subtract(x, t, out=t)

@@ -12,10 +12,11 @@ calls at the sizes this package cares about.  It steps over the shorter
 side (transposing wide batches), works on one column-major private copy,
 marks pivot rows in place of swapping them and reaches them by flat
 lane-major indices.  Over prime fields it reduces only the pivot column
-and row, by floor division (fields._mod), never ``%``, which bounds every
-entry and lets the copy use the narrowest integer dtype holding the
-bound.  Extension fields up to q = 256 eliminate on a uint8 copy through
-the FieldSpec's q*q mul table; larger ones on an int64 copy.
+and row, by fields._mod (floor division, a mask at q = 2), never ``%``,
+which bounds every entry and lets the copy use the narrowest integer
+dtype holding the bound.  Extension fields up to q = 256 eliminate on a
+uint8 copy through the FieldSpec's q*q mul table; larger ones on an
+int64 copy.
 """
 
 from __future__ import annotations
@@ -176,15 +177,19 @@ def rref(m: Mat) -> tuple:
 
 
 def _rref_cells(pivots: np.ndarray, k: int) -> tuple:
-    """(free, ones) of the canonical k x n RREFs with the pivot columns
-    marked in a (..., n) bool array: free masks the cells (i, c) with c
-    right of row i's pivot and not a pivot, ones is int64 with the pivot
-    1s.  Both are (..., k, n)."""
-    # rows[..., c]: pivots at or left of column c, so rows i < rows[c] are pivoted by c
-    rows = np.cumsum(pivots, axis=-1)[..., None, :]
-    i = np.arange(k)[:, None]
-    piv = pivots[..., None, :]
-    return (rows > i) & ~piv, ((rows == i + 1) & piv).astype(np.int64)
+    """(free, ones) bool masks of the canonical k x n RREFs with the pivot
+    columns marked in an (n, ...) bool array: free marks the cells (i, c)
+    with c right of row i's pivot and not a pivot, ones the pivot 1s.
+    Both are (k, n, ...): the batch axes come last, so that each step
+    works on whole rows of lanes; callers that want (..., k, n) take the
+    transposed view, which numpy's broadcasts iterate in memory order."""
+    # rows[c]: pivots at or left of column c, so rows i < rows[c] are pivoted by c;
+    # summed row by row, since np.cumsum(axis=0) walks each lane's column (7-12x slower)
+    rows = pivots.astype(np.intp)
+    for c in range(1, len(rows)):
+        rows[c] += rows[c - 1]
+    i = np.arange(k).reshape((k,) + (1,) * pivots.ndim)
+    return (rows > i) & ~pivots, (rows == i + 1) & pivots
 
 
 def rank(m: Mat) -> int:

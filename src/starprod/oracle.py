@@ -120,7 +120,8 @@ def _rref_masks(n: int, k: int, model: RandomModel) -> tuple:
     """(free, base) masks, each (P, k, n), of the model's canonical RREF
     bases, one per pivot column set in lexicographic order."""
     sets = [range(k)] if model is RandomModel.SYSTEMATIC else itertools.combinations(range(n), k)
-    return _rref_cells(np.array([np.isin(np.arange(n), s) for s in sets]), k)
+    pivots = np.array([np.isin(np.arange(n), s) for s in sets])
+    return tuple(mask.transpose(2, 0, 1) for mask in _rref_cells(pivots.T, k))
 
 
 def _subspace_blocks(field: FieldSpec, free: np.ndarray, base: np.ndarray, block: int) -> Iterator[np.ndarray]:
@@ -169,9 +170,12 @@ def _orbit_blocks(field: FieldSpec, free: np.ndarray, base: np.ndarray, block: i
 
 
 def _orbit_index(field: FieldSpec, free: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """The index in _orbit_blocks' order over one (k, n) mask free, k >= 1,
-    of the orbit of each (B, k, n) filling, its columns first scaled to a
-    topmost nonzero free cell 1 (field._inv[0] = 0 keeps a zero column)."""
+    """The index in _orbit_blocks' order over one (k, n) mask free of the
+    orbit of each (B, k, n) filling, its columns first scaled to a topmost
+    nonzero free cell 1 (field._inv[0] = 0 keeps a zero column).  A mask
+    with no free cell has the one orbit 0."""
+    if not free.any():
+        return np.zeros(len(mats), dtype=np.int64)
     depth, heights, powers, starts, shift = _orbit_tables(field.q, free[None])
     h, cols = heights[0], np.flatnonzero(heights[0])
     cells = np.where(free, mats, 0)[:, :, cols]

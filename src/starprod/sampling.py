@@ -14,6 +14,13 @@ with m columns and r pivots left, is a pivot with probability
 q**(m-r) qbinom(m-1, r-1) / qbinom(m, r) (the q-binomial recurrence),
 and the free cells are uniform.  No rejection, no rank test.
 
+Generators are built lane last, (k, n, b) for b samples, so the pivot
+loop, the RREF cell masks and the fill run over rows of b lanes, not
+over an innermost axis of n = 4..15 entries.  The Philox words stay
+sample-major and are transposed in the copy that narrows them to the
+field dtype.  The generators come back as (b, k, n) transposed views:
+the callers' broadcasts iterate in memory order, lanes innermost.
+
 Uniformity caveat: words are reduced mod q, a bias below q * 2**-64 per
 cell, and pivot thresholds are rounded down to multiples of 2**-64, a
 bias below 2**-64 per column; no statistic here can see either.
@@ -22,6 +29,7 @@ bias below 2**-64 per column; no statistic here can see either.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,9 +63,9 @@ def _raw_words(seed: int, start_sample: int, count: int, wps: int) -> np.ndarray
     return ph.random_raw(count * wps).reshape(count, wps)
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2**64:
-        raise BadRange(f"seed must lie in [0, 2**64), got {seed}")
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+        raise BadRange(f"seed must lie in [0, 2**64), got {seed!r}")
 
 
 def _round4(w: int) -> int:
@@ -73,12 +81,12 @@ def _systematic_from_words(field, words, n, k, offset):
     FieldSpec.mul and rank_many work on narrow copies.
     """
     b = words.shape[0]
-    g = np.zeros((b, k, n), dtype=field._dtype)
-    g[:, np.arange(k), np.arange(k)] = 1
+    g = np.zeros((k, n, b), dtype=field._dtype)
+    g[np.arange(k), np.arange(k)] = 1
     a = k * (n - k)
     if a:
-        g[:, :, k:] = _mod(words[:, offset : offset + a], field.q).reshape(b, k, n - k)
-    return g, offset + a
+        g[:, k:] = _mod(words[:, offset : offset + a], field.q).T.reshape(k, n - k, b)
+    return g.transpose(2, 0, 1), offset + a
 
 
 def _pivot_thresholds(q: int, n: int, k: int) -> np.ndarray:
@@ -98,17 +106,17 @@ def _uniform_from_words(field, words, n, k, offset):
     fill the free cells."""
     b = words.shape[0]
     thresholds = _pivot_thresholds(field.q, n, k)
-    pivots = np.empty((b, n), dtype=bool)
+    pivots = np.empty((n, b), dtype=bool)
     left = np.full(b, k)
     for j in range(n):
-        pivots[:, j] = (words[:, offset + j] < thresholds[n - j, left]) | (left == n - j)
-        left -= pivots[:, j]
+        pivots[j] = (words[:, offset + j] < thresholds[n - j, left]) | (left == n - j)
+        left -= pivots[j]
     free, ones = _rref_cells(pivots, k)
     lo = offset + n
-    g = _mod(words[:, lo : lo + k * n], field.q).astype(field._dtype).reshape(b, k, n)
+    g = np.ascontiguousarray(_mod(words[:, lo : lo + k * n], field.q).T.reshape(k, n, b), dtype=field._dtype)
     g *= free
-    g += ones.astype(field._dtype)
-    return g, lo + k * n
+    g += ones
+    return g.transpose(2, 0, 1), lo + k * n
 
 
 # per model: words one code takes from its sample's slice, and its decoder
@@ -191,11 +199,13 @@ class Estimate:
     @staticmethod
     def from_json(obj: dict) -> "Estimate":
         """The inverse of to_json.  A missing key raises KeyError; samples
-        below 1 or not an int, a sum that is not an integer, and a
-        mean_num/mean_den that differ from sum/samples raise BadRange."""
-        samples, total = obj["samples"], obj["sum"]
+        below 1 or not an int, a seed that is not an integer in [0, 2**64)
+        (_check_seed), a sum that is not an integer, and a mean_num/mean_den
+        that differ from sum/samples raise BadRange."""
+        samples, seed, total = obj["samples"], obj["seed"], obj["sum"]
         if type(samples) is not int or samples < 1:
             raise BadRange(f"samples must be an int >= 1, got {samples!r}")
+        _check_seed(seed)
         try:
             total = int(str(total))
         except ValueError:
@@ -208,7 +218,7 @@ class Estimate:
             params=Params(q=obj["q"], n=obj["n"], k1=obj["k1"], k2=obj["k2"]),
             model=RandomModel(obj["model"]),
             samples=samples,
-            seed=obj["seed"],
+            seed=seed,
             total=total,
             stderr=obj["stderr"],
         )

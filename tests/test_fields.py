@@ -2,14 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from starprod import field_from_order, field_make, parse_matrix
 from starprod._moduli import MODULI
 from starprod.errors import BadRange, DivisionByZero, NoModulusTableEntry, NotPrime, TooLarge
-from starprod.fields import _MR_LIMIT, FieldSpec, _is_prime, prime_power
+from starprod.fields import _MR_LIMIT, FieldSpec, _is_prime, _mod, prime_power
 
 # prime powers up to 64, all of which ship with tables
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
@@ -366,3 +366,20 @@ def test_narrow_unsigned_inputs_reduce_correctly():
     assert int(field_make(31).mul(u8(30), u8(30))) == 1
     assert int(field_make(251).add(u8(200), u8(100))) == 49
     assert int(field_from_order(9).neg(np.array([1], dtype=u8))[0]) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dtype=st.sampled_from([np.int8, np.int16, np.int64, np.uint64]),
+    q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 256]),
+    data=st.data(),
+)
+def test_mod_matches_np_mod(dtype, q, data):
+    # floor division for any q, a mask for a power of two: both give the
+    # residue in [0, q) of negative entries too, in x's dtype, in a new array
+    assume(q <= np.iinfo(dtype).max)
+    x = data.draw(arrays(dtype, array_shapes(min_dims=1, max_dims=3, max_side=6)))
+    got = _mod(x, q)
+    assert got.dtype == x.dtype
+    assert np.array_equal(got, np.mod(x, q))
+    assert not np.shares_memory(got, x)

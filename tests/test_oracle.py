@@ -520,9 +520,9 @@ def test_orbit_blocks_decode_columns_in_order_in_field_dtype():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_orbit_index_inverts_orbit_blocks(data):
-    # on one arbitrary mask, each representative encodes to its own index,
-    # and so does every column scaling of it
-    k, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    # on one arbitrary mask, k = 0 included, each representative encodes to
+    # its own index, and so does every column scaling of it
+    k, n = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 4))
     free = data.draw(arrays(bool, (k, n)))
     q = data.draw(st.sampled_from([q for q in ORBIT_QS if q ** int(free.sum()) <= 1 << 12]))
     field = field_from_order(q)

@@ -135,6 +135,36 @@ def test_pivot_thresholds_exact(q, n, k):
     assert abs(total - 1) <= Fraction(n, 2**64)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4, 5, 7, 8, 9]),
+    data=st.data(),
+    batch=st.sampled_from([1, 63, 64, 65]),
+    model=st.sampled_from(list(RandomModel)),
+    seed=st.integers(0, 2**64 - 1),
+    start=st.integers(0, 2**20),
+)
+def test_lane_last_generators_match_sample_code(q, data, batch, model, seed, start):
+    # the generators are built lane last but come back as (batch, k, n),
+    # row i being the code of sample start + i
+    field = field_from_order(q)
+    n = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(1, n))
+    code_words, from_words = sampling._LAYOUT[model]
+    words = sampling._raw_words(seed, start, batch, sampling._round4(code_words(n, k)))
+    g, used = from_words(field, words, n, k, 0)
+    assert g.shape == (batch, k, n) and g.dtype == field._dtype
+    assert used == code_words(n, k)
+    for i, mat in enumerate(g):
+        if model is RandomModel.SYSTEMATIC:
+            a = np.mod(words[i, :used], q).reshape(k, n - k)
+            assert np.array_equal(mat, np.hstack([np.eye(k, dtype=np.int64), a]))
+        else:
+            red, pivots = rref(Mat(field, mat))
+            assert np.array_equal(red.data, mat) and len(pivots) == k
+        assert np.array_equal(sample_code(field, n, k, model, seed, start + i).basis.data, mat)
+
+
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 4, 2), (4, 3, 1)])
 def test_uniform_subspace_chi_square(q, n, k):
     # every draw is a canonical RREF basis, every subspace appears, and the
@@ -331,6 +361,11 @@ def test_estimate_json_roundtrip_drawn(q, n, data, model, samples, seed, stderr)
         {"sum": "twelve"},
         {"mean_num": "1"},
         {"mean_den": "7"},
+        {"seed": -1},
+        {"seed": 2**64},
+        {"seed": "abc"},
+        {"seed": 11.0},
+        {"seed": True},
     ],
     ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()),
 )
