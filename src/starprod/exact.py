@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -24,12 +25,21 @@ from .errors import BadRange, UncoveredCase
 from .fields import prime_power
 
 
+def _integer(name: str, value) -> int:
+    """value as an int; a bool or a non-integer is a BadRange (numpy
+    integers pass)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadRange(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Params:
-    """A (q, n, k1, k2) parameter point, normalised so that k1 <= k2.
+    """A (q, n, k1, k2) parameter point of ints, normalised so that k1 <= k2.
 
     The star product and every formula taking a Params are symmetric in
     the two dimensions; asymmetric operations take explicit arguments.
+    A field that is not an integer (_integer) is a BadRange.
     """
 
     q: int
@@ -38,11 +48,11 @@ class Params:
     k2: int
 
     def __post_init__(self):
-        prime_power(self.q, BadRange)
-        if self.k1 > self.k2:
-            lo, hi = self.k2, self.k1
-            object.__setattr__(self, "k1", lo)
-            object.__setattr__(self, "k2", hi)
+        names = ("q", "n", "k1", "k2")
+        q, n, k1, k2 = (_integer(name, getattr(self, name)) for name in names)
+        prime_power(q, BadRange)
+        for name, value in zip(names, (q, n, min(k1, k2), max(k1, k2))):
+            object.__setattr__(self, name, value)
         if not 1 <= self.k1 <= self.k2 <= self.n:
             raise BadRange(f"need 1 <= k1 <= k2 <= n, got k1={self.k1} k2={self.k2} n={self.n}")
 

@@ -20,17 +20,19 @@ _orbit_blocks yields the fillings whose columns with free cells are zero
 or have topmost nonzero entry 1, each with z, its number of such nonzero
 columns, standing for (q-1)**z fillings (a Python-int weight, so results
 stay exact); _orbit_index inverts it.  _orbit_count is the one counting
-loop: it tallies and weights every count's keyed representatives; the pair
-oracles build their inner side once and re-read the outer batches for
-each inner block.  Each count states why its
-statistic is the same on a whole orbit.  dim(C1 star C2) does not change
-when C1 or C2 is scaled column by column, each independently, so the
-pair oracles reduce both sides and the fixed-code oracle its enumerated
-side; the intersection oracle is the fixed-code oracle of rowspace
-[I_k1 | 0] (see exact_expected_intersection).  Every oracle runs on the
-calling thread.
+loop: it tallies and weights every count's keyed representatives.  Each
+count states why its statistic is the same on a whole orbit.
+dim(C1 star C2) does not change when C1 or C2 is scaled column by column,
+each independently, so the pair oracles reduce both sides and the
+fixed-code oracle its enumerated side; the intersection oracle is the
+fixed-code oracle of rowspace [I_k1 | 0] (see exact_expected_intersection).
+The star dimension and the systematic prefix peel are symmetric in the
+codes, so _outer_side materialises the side with fewer representatives
+as the one outer batch (no more than items, so at most the square root of
+the pairs charged: 2**13 at the default budget), and the other side is
+built once against it.  Every oracle runs on the calling thread.
 
-The systematic pair oracles rank one side by orbits of a larger group:
+The systematic pair oracles rank the outer side by orbits of a larger group:
 
 * Let sigma permute the coordinates, mapping [0, k1), [k1, k2) and
   [k2, n) onto themselves.  (x star y) sigma = x sigma star y sigma, so
@@ -41,9 +43,6 @@ The systematic pair oracles rank one side by orbits of a larger group:
 * On [I_k | A], sigma swaps rows of A where it permutes pivots and
   columns of A elsewhere, and D scales rows and columns of A.  So one A
   per orbit is ranked, weighted by the sum of (q-1)**z over the orbit.
-* The star dimension and its prefix peel are symmetric in the codes, so
-  _systematic_side labels the side with fewer column-scaling orbits: at
-  most the square root of the pairs charged, 2**13 at the default budget.
 
 An EnumBudget is charged the number of items (pairs, subspaces or
 matrices) represented, from _items, the one count per side, not the
@@ -71,7 +70,6 @@ from .matrices import Mat, _rref_cells, mat_mul, rank_many
 DEFAULT_BUDGET = 2**26
 _PAIR_BLOCK = 1 << 14
 _SUBSPACE_BLOCK = 1 << 15
-_OUTER_BLOCK = 64  # outer rows per batch of the pair oracles
 
 
 @dataclass
@@ -240,18 +238,15 @@ def _orbit_count(field: FieldSpec, free, base, size: int, keys) -> list:
     return _weighted(keyed, size, field.q)
 
 
-def _orbit_histogram(field: FieldSpec, stat, size: int, weights: list, outer, free, base) -> list:
-    """Exact histogram of stat over the pairs of a row of a (g1, c) batch
-    of outer() and an inner orbit representative of the masks, each pair
-    standing for weights[c] (a Python int) * (q-1)**z2; outer() is re-read
-    for each inner block, and stat sees about _PAIR_BLOCK pairs a call."""
+def _orbit_histogram(field: FieldSpec, stat, size: int, weights: list, g1, c1, free, base) -> list:
+    """Exact histogram of stat over the pairs of an outer generator g1[i] and
+    an inner orbit representative of the masks, each standing for weights[c1[i]]
+    (a Python int) * (q-1)**z2; stat sees about _PAIR_BLOCK pairs a call."""
+    width, key1 = max(1, _PAIR_BLOCK // len(g1)), size * c1
 
-    def keys(g2, offset):
-        for g1, c1 in outer():
-            width = max(1, _PAIR_BLOCK // len(g1))
-            for s in range(0, len(g2), width):
-                g2s = g2[None, s : s + width]
-                yield stat(field, g1[:, None], g2s) + (size * c1[:, None] + offset[None, s : s + width]).ravel()
+    def keys(g2, offset):  # pairs inner-major: the outer batch varies fastest
+        for s in range(0, len(g2), width):
+            yield stat(field, g1, g2[s : s + width, None]) + (key1 + offset[s : s + width, None]).ravel()
 
     hist = _orbit_count(field, free, base, len(weights) * size, keys)
     return [sum(w * hist[c * size + d] for c, w in enumerate(weights)) for d in range(size)]
@@ -299,43 +294,47 @@ def _rref_codes(field: FieldSpec, n: int, k: int, model: RandomModel, budget) ->
                 yield LinearCode(field, Mat._trusted(field, mat.astype(np.int64)), pivots)
 
 
-def _systematic_side(field: FieldSpec, p: Params) -> tuple:
-    """(k, mats, z, maps): the side k of (k1, k2) with fewer column-scaling
-    representatives (k1 on a tie), its _orbit_blocks, and the index maps of
-    the module docstring's group's generators: the adjacent transpositions
-    inside [0, k1), [k1, k2) and [k2, n), at q > 2 each row times a generator of F_q^*."""
+def _outer_side(field: FieldSpec, p: Params, model: RandomModel) -> tuple:
+    """(k, mats, z, maps, inner): the side k of (k1, k2) with fewer column-scaling
+    representatives (k1 on a tie), its _orbit_blocks, the other side's masks, and the
+    index maps (None for uniform pairs) of the module docstring's group's generators: the
+    adjacent transpositions inside [0, k1), [k1, k2), [k2, n), at q > 2 each row times a generator of F_q^*."""
     q, n = field.q, p.n
-    k = min(p.k1, p.k2, key=lambda k: _index_count([1 + (q**k - 1) // (q - 1)] * (n - k)))
-    free, base = _rref_masks(n, k, RandomModel.SYSTEMATIC)
+    masks = {k: _rref_masks(n, k, model) for k in (p.k1, p.k2)}
+
+    def representatives(k):  # _orbit_blocks' rows: per mask, the product of its radices
+        _, heights, _, starts, _ = _orbit_tables(q, masks[k][0])
+        return sum(_index_count(starts[h].tolist()) for h in heights)
+
+    k = min(masks, key=representatives)
+    (free, base), inner = masks[k], masks[p.k1 + p.k2 - k]
     mats, z = (np.concatenate(part) for part in zip(*_orbit_blocks(field, free, base, _SUBSPACE_BLOCK)))
+    if model is not RandomModel.SYSTEMATIC:
+        return k, mats, z, None, inner
     perms = [[*range(i), i + 1, i, *range(i + 2, n)] for i in range(n - 1) if i + 1 not in (p.k1, p.k2)]
     images = [mats[:, perm[:k]][:, :, perm] for perm in perms]  # a pivot swap also swaps rows
     # a generator of F_q^*, x in an extension field; a scaled row's pivot is not a free cell
     roots = (a for a in range(1, q) if len({pow(a, e, q) for e in range(q)}) == q - 1)
     scale = field._exp[1] if field.m > 1 else next(roots)
     images += [field.mul(mats, np.where(np.arange(k) == r, scale, 1)[:, None]) for r in range(k if q > 2 else 0)]
-    return k, mats, z, _orbit_index(field, free[0], np.concatenate([mats[:0], *images])).reshape(-1, len(mats))
+    maps = _orbit_index(field, free[0], np.concatenate([mats[:0], *images])).reshape(-1, len(mats))
+    return k, mats, z, maps, inner
 
 
 def _pair_histogram(p: Params, model: RandomModel, budget) -> tuple:
-    """Exact star-dimension histogram over every generator pair of the model,
-    and the pair count: inner column-scaling orbits, outer ones in classes z
-    of weight (q-1)**z, or systematic outer orbits of _systematic_side."""
+    """Exact star-dimension histogram over every generator pair of the model, and
+    the pair count: _outer_side's representatives in classes z of weight (q-1)**z,
+    or one per systematic permutation orbit, against the other side's orbits."""
     field = field_from_order(p.q)
     stat, size = pair_stat(p, model, star_dims)
     count = _items(model, p.q, p.n, p.k1) * _items(model, p.q, p.n, p.k2)
     _budget(budget).charge(count)
-    if model is RandomModel.SYSTEMATIC:
-        k, mats, z, maps = _systematic_side(field, p)
+    k, g1, z, maps, inner = _outer_side(field, p, model)
+    c1, weights = z, [(p.q - 1) ** c for c in range(p.n - k + 1)]  # uniform pairs: classes z
+    if maps is not None:  # one class per systematic permutation orbit
         _, reps, weights = _orbit_classes(maps, z, p.q)
-        batches = [(mats[reps], np.arange(len(reps)))]  # one batch: at most 2**13 rows by default
-        outer, inner = (lambda: batches), p.k1 + p.k2 - k
-    else:
-        masks = _rref_masks(p.n, p.k1, model)
-        outer = lambda: _packed(_orbit_blocks(field, *masks, _OUTER_BLOCK), _OUTER_BLOCK)
-        weights = [(p.q - 1) ** z for z in range(p.n - p.k1 + 1)]
-        inner = p.k2
-    return _orbit_histogram(field, stat, size, weights, outer, *_rref_masks(p.n, inner, model)), count
+        g1, c1 = g1[reps], np.arange(len(reps))
+    return _orbit_histogram(field, stat, size, weights, g1, c1, *inner), count
 
 
 def exact_expected_kernel(p: Params, budget=None) -> Fraction:
@@ -357,9 +356,9 @@ def _fixed_histogram(field: FieldSpec, basis: np.ndarray, ell: int, stat) -> lis
     outer batch of _orbit_histogram, and every ell-dim subspace D, D
     running over column-scaling orbits.  The caller charges the budget."""
     k, n = basis.shape
-    batches = [(basis.astype(field._dtype)[None], np.zeros(1, dtype=np.int64))]
     masks = _rref_masks(n, ell, RandomModel.UNIFORM_SUBSPACE)
-    return _orbit_histogram(field, stat, min(k * ell, n) + 1, [1], lambda: batches, *masks)
+    g1 = basis.astype(field._dtype)[None]
+    return _orbit_histogram(field, stat, min(k * ell, n) + 1, [1], g1, np.zeros(1, dtype=np.int64), *masks)
 
 
 def exact_expected_star_dim_fixed(

@@ -38,7 +38,7 @@ import numpy as np
 from ._tally import dim_histogram, meet_dims, pair_stat, resolve_threads, star_dims
 from .codes import LinearCode, code_from_matrix
 from .errors import BadRange
-from .exact import Params, RandomModel, _qbinom, star_dim_lower_bound
+from .exact import Params, RandomModel, _integer, _qbinom, star_dim_lower_bound
 from .fields import FieldSpec, _mod, field_from_order
 from .matrices import Mat, _rref_cells
 
@@ -64,7 +64,7 @@ def _raw_words(seed: int, start_sample: int, count: int, wps: int) -> np.ndarray
 
 
 def _check_seed(seed) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2**64:
+    if not 0 <= _integer("seed", seed) < 2**64:
         raise BadRange(f"seed must lie in [0, 2**64), got {seed!r}")
 
 
@@ -73,7 +73,7 @@ def _round4(w: int) -> int:
 
 
 def _systematic_from_words(field, words, n, k, offset):
-    """Systematic generators [I_k | A], A from k*(n-k) words mod q.
+    """Systematic generators [I_k | A], A from the k*(n-k) words at offset mod q.
 
     Generators of both models come in field._dtype, the narrowest dtype
     whose products FieldSpec.mul forms without widening (uint8 up to
@@ -86,7 +86,7 @@ def _systematic_from_words(field, words, n, k, offset):
     a = k * (n - k)
     if a:
         g[:, k:] = _mod(words[:, offset : offset + a], field.q).T.reshape(k, n - k, b)
-    return g.transpose(2, 0, 1), offset + a
+    return g.transpose(2, 0, 1)
 
 
 def _pivot_thresholds(q: int, n: int, k: int) -> np.ndarray:
@@ -102,8 +102,8 @@ def _pivot_thresholds(q: int, n: int, k: int) -> np.ndarray:
 
 def _uniform_from_words(field, words, n, k, offset):
     """Canonical RREF bases of uniform k-dim subspaces in field._dtype:
-    n words pick the pivot columns left to right, then k*n words mod q
-    fill the free cells."""
+    the n words at offset pick the pivot columns left to right, then the
+    next k*n words mod q fill the free cells."""
     b = words.shape[0]
     thresholds = _pivot_thresholds(field.q, n, k)
     pivots = np.empty((n, b), dtype=bool)
@@ -116,7 +116,7 @@ def _uniform_from_words(field, words, n, k, offset):
     g = np.ascontiguousarray(_mod(words[:, lo : lo + k * n], field.q).T.reshape(k, n, b), dtype=field._dtype)
     g *= free
     g += ones
-    return g.transpose(2, 0, 1), lo + k * n
+    return g.transpose(2, 0, 1)
 
 
 # per model: words one code takes from its sample's slice, and its decoder
@@ -128,10 +128,9 @@ _LAYOUT = {
 
 def _pair_generators(field, p: Params, model: RandomModel, seed, start, count):
     code_words, from_words = _LAYOUT[model]
-    words = _raw_words(seed, start, count, _round4(code_words(p.n, p.k1) + code_words(p.n, p.k2)))
-    g1, off = from_words(field, words, p.n, p.k1, 0)
-    g2, _ = from_words(field, words, p.n, p.k2, off)
-    return g1, g2
+    first = code_words(p.n, p.k1)  # the second code's words follow the first's
+    words = _raw_words(seed, start, count, _round4(first + code_words(p.n, p.k2)))
+    return from_words(field, words, p.n, p.k1, 0), from_words(field, words, p.n, p.k2, first)
 
 
 def sample_code(
@@ -145,16 +144,17 @@ def sample_code(
     """Draw the code with the given sample index from the seed's stream.
 
     Deterministic: the same (field, n, k, model, seed, index) always
-    yields the same code.  The seed must lie in [0, 2**64) and the index
-    be >= 0 (BadRange).
+    yields the same code.  n, k and index must be integers (_integer), the
+    seed must lie in [0, 2**64) and the index be >= 0 (BadRange).
     """
+    n, k, index = _integer("n", n), _integer("k", k), _integer("index", index)
     if not 1 <= k <= n:
         raise BadRange(f"need 1 <= k <= n, got k={k} n={n}")
     _check_seed(seed)
     if index < 0:
         raise BadRange(f"need index >= 0, got {index}")
     code_words, from_words = _LAYOUT[model]
-    g, _ = from_words(field, _raw_words(seed, index, 1, _round4(code_words(n, k))), n, k, 0)
+    g = from_words(field, _raw_words(seed, index, 1, _round4(code_words(n, k))), n, k, 0)
     return code_from_matrix(Mat(field, g[0]))
 
 
@@ -199,13 +199,17 @@ class Estimate:
     @staticmethod
     def from_json(obj: dict) -> "Estimate":
         """The inverse of to_json.  A missing key raises KeyError; samples
-        below 1 or not an int, a seed that is not an integer in [0, 2**64)
-        (_check_seed), a sum that is not an integer, and a mean_num/mean_den
-        that differ from sum/samples raise BadRange."""
-        samples, seed, total = obj["samples"], obj["seed"], obj["sum"]
-        if type(samples) is not int or samples < 1:
-            raise BadRange(f"samples must be an int >= 1, got {samples!r}")
+        below 1 or not an integer, a seed that is not an integer in [0,
+        2**64) (_check_seed), a sum that is not an integer, a mean_num/mean_den
+        that differ from sum/samples, a stderr that is not a real number >= 0
+        (inf passes, NaN does not) and params that Params refuses raise
+        BadRange."""
+        samples, seed, total, stderr = obj["samples"], obj["seed"], obj["sum"], obj["stderr"]
+        if _integer("samples", samples) < 1:
+            raise BadRange(f"samples must be >= 1, got {samples!r}")
         _check_seed(seed)
+        if isinstance(stderr, bool) or not isinstance(stderr, numbers.Real) or not stderr >= 0:
+            raise BadRange(f"stderr must be a real number >= 0, got {stderr!r}")
         try:
             total = int(str(total))
         except ValueError:
@@ -220,7 +224,7 @@ class Estimate:
             samples=samples,
             seed=seed,
             total=total,
-            stderr=obj["stderr"],
+            stderr=stderr,
         )
 
 
@@ -237,7 +241,7 @@ def _stderr_from_sums(total: int, total_sq: int, n: int) -> float:
 def _sample_histogram(p: Params, model, samples, seed, threads, stat) -> list:
     """Exact histogram of stat (star_dims or meet_dims, see
     _tally.pair_stat) over the sample range, one job per _CHUNK samples."""
-    if samples < 1:
+    if _integer("samples", samples) < 1:
         raise BadRange(f"need samples >= 1, got {samples}")
     _check_seed(seed)
     field = field_from_order(p.q)
@@ -252,7 +256,9 @@ def _sample_histogram(p: Params, model, samples, seed, threads, stat) -> list:
 
 
 def _estimate(p: Params, model, samples, seed, hist, value) -> Estimate:
-    """The Estimate of the integer statistic value(d) over a dimension histogram."""
+    """The Estimate of the integer statistic value(d) over a dimension
+    histogram, samples and seed stored as ints (numpy integers pass _integer)."""
+    samples, seed = int(samples), int(seed)
     total = sum(c * value(d) for d, c in enumerate(hist))
     total_sq = sum(c * value(d) ** 2 for d, c in enumerate(hist))
     return Estimate(p, model, samples, seed, total, _stderr_from_sums(total, total_sq, samples))

@@ -39,6 +39,13 @@ def test_params_normalisation_and_validation():
         Params(q=2, n=2, k1=1, k2=3)
     with pytest.raises(BadRange):
         Params(q=2, n=2, k1=0, k2=1)
+    # a bool or a float that happens to be whole is not a dimension
+    for point in [(7, 5.0, 2, 3), (7, 5, True, 3), ("7", 5, 2, 3), (7.0, 5, 2, 3), (7, 5, 2, 3.5), (7, None, 2, 3)]:
+        with pytest.raises(BadRange):
+            Params(*point)
+    p = Params(np.int64(7), np.int32(5), np.uint8(3), np.int16(2))
+    assert p == Params(7, 5, 2, 3)
+    assert all(type(v) is int for v in (p.q, p.n, p.k1, p.k2))
 
 
 def test_binom_conventions():

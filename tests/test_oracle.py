@@ -567,9 +567,10 @@ def test_orbit_count_equals_full_enumeration(masks):
     assert counts == np.bincount(key(full), minlength=size).tolist()
 
 
-# -- permutation orbits on the systematic side ---------------------------------
+# -- the outer side, and permutation orbits on the systematic one -------------
 
 SYSTEMATIC = RandomModel.SYSTEMATIC
+UNIFORM = RandomModel.UNIFORM_SUBSPACE
 
 
 def _column_scaling_histogram(p):
@@ -577,13 +578,17 @@ def _column_scaling_histogram(p):
     representative ranked, each weighted by (q-1)**z1: no permutation orbits."""
     field = field_from_order(p.q)
     stat, size = pair_stat(p, SYSTEMATIC, star_dims)
-    outer = lambda: oracle._packed(oracle._orbit_blocks(field, *oracle._rref_masks(p.n, p.k1, SYSTEMATIC), 64), 64)
+    blocks = oracle._orbit_blocks(field, *oracle._rref_masks(p.n, p.k1, SYSTEMATIC), 1 << 15)
+    g1, z1 = (np.concatenate(part) for part in zip(*blocks))
     weights = [(p.q - 1) ** z for z in range(p.n - p.k1 + 1)]
-    return oracle._orbit_histogram(field, stat, size, weights, outer, *oracle._rref_masks(p.n, p.k2, SYSTEMATIC))
+    return oracle._orbit_histogram(field, stat, size, weights, g1, z1, *oracle._rref_masks(p.n, p.k2, SYSTEMATIC))
 
 
-def _side_representatives(q, n, k):
-    return (1 + (q**k - 1) // (q - 1)) ** (n - k)
+def _side_representatives(q, n, k, model):
+    """Column-scaling orbit representatives of the model's k-side: a column
+    to the right of h pivots has 1 + (q**h - 1)/(q - 1) of them."""
+    sets = [range(k)] if model is SYSTEMATIC else itertools.combinations(range(n), k)
+    return sum(math.prod(1 + (q ** sum(t < j for t in s) - 1) // (q - 1) for j in range(n) if j not in s) for s in sets)
 
 
 @pytest.mark.parametrize(
@@ -598,36 +603,69 @@ def test_permutation_orbit_histograms_equal_column_scaling_only(point):
     hist, count = oracle._pair_histogram(p, SYSTEMATIC, None)
     assert hist == _column_scaling_histogram(p)
     assert sum(hist) == count
-    _, _, z, maps = oracle._systematic_side(field_from_order(p.q), p)
+    _, _, z, maps, _ = oracle._outer_side(field_from_order(p.q), p, SYSTEMATIC)
     label = oracle._orbit_classes(maps, z, p.q)[0]
     assert all(np.array_equal(label[m], label) for m in maps)  # propagation ran to its fixed point
 
 
-def _small_systematic_points():
-    for q in ORBIT_QS:
-        for n in range(1, 7):
-            for k1 in range(1, n + 1):
-                for k2 in range(k1, n + 1):
-                    if systematic_count(q, n, k1) * systematic_count(q, n, k2) <= 1 << 20:
-                        yield q, n, k1, k2
+def _small_side_points():
+    for model in (SYSTEMATIC, UNIFORM):
+        for q in ORBIT_QS:
+            for n in range(1, 7):
+                for k1 in range(1, n + 1):
+                    for k2 in range(k1, n + 1):
+                        if oracle._items(model, q, n, k1) * oracle._items(model, q, n, k2) <= 1 << 20:
+                            yield model, q, n, k1, k2
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(list(_small_systematic_points())))
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(list(_small_side_points())))
 def test_systematic_orbit_classes_property(point):
-    q, n, k1, k2 = point
-    pairs = systematic_count(q, n, k1) * systematic_count(q, n, k2)
-    k, mats, z, maps = oracle._systematic_side(field_from_order(q), Params(*point))
+    # the outer side of both models, and the systematic side's permutation orbits
+    model, q, n, k1, k2 = point
+    pairs = oracle._items(model, q, n, k1) * oracle._items(model, q, n, k2)
+    k, mats, z, maps, (free, _) = oracle._outer_side(field_from_order(q), Params(q, n, k1, k2), model)
+    sides = [_side_representatives(q, n, side, model) for side in (k1, k2)]
+    # the side with fewer representatives (k1 on a tie), at most the square root of the pairs
+    assert k == (k1 if sides[0] <= sides[1] else k2)
+    assert len(mats) == min(sides) <= math.isqrt(pairs)
+    assert mats.shape[1] == k and free.shape[1] == k1 + k2 - k  # the inner side is the other one
+    assert sum((q - 1) ** int(c) for c in z) == oracle._items(model, q, n, k)
+    if model is UNIFORM:
+        assert maps is None
+        return
     label, reps, weights = oracle._orbit_classes(maps, z, q)
     index = np.arange(len(mats))
-    # the side with fewer representatives, at most the square root of the pairs
-    assert len(mats) == min(_side_representatives(q, n, k1), _side_representatives(q, n, k2)) <= math.isqrt(pairs)
     assert sum(weights) == systematic_count(q, n, k)
     for m in maps:
         assert np.array_equal(np.sort(m), index)  # a permutation of the representatives
         assert np.array_equal(label[m], label)
     assert np.array_equal(reps, np.flatnonzero(label == index))
     assert (label <= index).all()
+
+
+@pytest.mark.parametrize("point", [(2, 6, 2, 5), (3, 5, 2, 4), (2, 5, 2, 4), (2, 5, 1, 4)])
+def test_uniform_outer_side_is_the_smaller_side(monkeypatch, point):
+    # the first three take the k2 side outside; the tie (2, 5, 1, 4) keeps k1
+    p = Params(*point)
+    field = field_from_order(p.q)
+    seen, orbit_histogram = [], oracle._orbit_histogram
+
+    def recorded(field, stat, size, weights, g1, c1, free, base):
+        seen.append((weights, g1, c1, free))
+        return orbit_histogram(field, stat, size, weights, g1, c1, free, base)
+
+    monkeypatch.setattr(oracle, "_orbit_histogram", recorded)
+    hist, count = oracle._pair_histogram(p, UNIFORM, None)
+    g1, g2 = (_full_blocks(field, p.n, k, UNIFORM) for k in (p.k1, p.k2))
+    assert hist == _full_histogram(field, star_dims, len(hist), g1, g2)
+    assert sum(hist) == count == len(g1) * len(g2)
+    [(weights, outer, classes, free)] = seen
+    k = p.k1 if point == (2, 5, 1, 4) else p.k2
+    assert outer.shape[1] == k and free.shape[1] == p.k1 + p.k2 - k
+    # one weight (q-1)**z per class z, and every class has a representative
+    assert np.bincount(classes).all() and len(np.bincount(classes)) == len(weights)
+    assert sum(weights[c] for c in classes) == qbinom(p.n, k, p.q)
 
 
 def test_orbit_decode_sized_by_columns_not_by_k():
@@ -692,10 +730,10 @@ def test_orbit_indices_beyond_int64_raise_too_large():
         exact_expected_star_dim_fixed(code, 2, budget=huge)
 
 
-@pytest.mark.parametrize("subspace_block, pair_block, outer_block", [(7, 5, 3), (7, 2, 3)])
-def test_oracle_histograms_independent_of_block_sizes(monkeypatch, subspace_block, pair_block, outer_block):
-    # (7, 2, 3): an outer batch of 3 outgrows a pair block of 2, so the
-    # inner slices are one row wide
+@pytest.mark.parametrize("subspace_block, pair_block", [(7, 5), (7, 2)])
+def test_oracle_histograms_independent_of_block_sizes(monkeypatch, subspace_block, pair_block):
+    # the uniform (3, 4, 1, 2) point's 15 outer rows outgrow either pair
+    # block, so its inner slices are one row wide
     rng = np.random.default_rng(3)
     code = random_code(field_from_order(5), 5, 2, rng)
     points = [
@@ -730,7 +768,6 @@ def test_oracle_histograms_independent_of_block_sizes(monkeypatch, subspace_bloc
     assert [inner_rows_built(call) for call, _, _ in inner] == reps  # one inner block, built once
     monkeypatch.setattr(oracle, "_SUBSPACE_BLOCK", subspace_block)
     monkeypatch.setattr(oracle, "_PAIR_BLOCK", pair_block)
-    monkeypatch.setattr(oracle, "_OUTER_BLOCK", outer_block)
     for _, field, masks in inner:
         assert len(list(oracle._packed(orbit_blocks(field, *masks, subspace_block), subspace_block))) > 1
     assert [call() for call in points] == default

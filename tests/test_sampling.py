@@ -80,6 +80,11 @@ def test_sample_code_validation():
     f2 = field_make(2)
     with pytest.raises(BadRange):
         sample_code(f2, 3, 4)
+    # a bool or a float is no dimension or index (index=1.5 used to raise TypeError)
+    for kwargs in ({"n": 5.0}, {"k": True}, {"index": 1.5}, {"index": True}):
+        with pytest.raises(BadRange):
+            sample_code(f2, **{"n": 5, "k": 2, "index": 0, **kwargs})
+    assert sample_code(f2, np.int64(5), np.int32(2), index=np.uint8(3)) == sample_code(f2, 5, 2, index=3)
 
 
 def test_seed_and_index_outside_the_stream_raise():
@@ -107,6 +112,10 @@ def test_stderr_overflow_is_infinite():
     # a variance beyond the float range renders as inf, not OverflowError
     assert sampling._stderr_from_sums(0, 10**700, 2) == math.inf
     assert sampling._stderr_from_sums(3, 9, 1) == 0.0
+    # and an Estimate carrying it loads back from JSON
+    obj = mc_star_dim(Params(5, 6, 2, 2), samples=1200, seed=11).to_json()
+    for stderr in (math.inf, 0, 0.25):
+        assert Estimate.from_json({**obj, "stderr": stderr}).stderr == stderr
 
 
 @pytest.mark.parametrize("q,n,k", [(2, 4, 2), (3, 5, 2), (4, 4, 2), (2, 6, 3)])
@@ -152,9 +161,8 @@ def test_lane_last_generators_match_sample_code(q, data, batch, model, seed, sta
     k = data.draw(st.integers(1, n))
     code_words, from_words = sampling._LAYOUT[model]
     words = sampling._raw_words(seed, start, batch, sampling._round4(code_words(n, k)))
-    g, used = from_words(field, words, n, k, 0)
+    g, used = from_words(field, words, n, k, 0), code_words(n, k)
     assert g.shape == (batch, k, n) and g.dtype == field._dtype
-    assert used == code_words(n, k)
     for i, mat in enumerate(g):
         if model is RandomModel.SYSTEMATIC:
             a = np.mod(words[i, :used], q).reshape(k, n - k)
@@ -172,8 +180,8 @@ def test_uniform_subspace_chi_square(q, n, k):
     field = field_from_order(q)
     draws = 40_000
     words = sampling._raw_words(23, 0, draws, sampling._round4((k + 1) * n))
-    g, used = sampling._uniform_from_words(field, words, n, k, 0)
-    assert used == (k + 1) * n
+    g = sampling._uniform_from_words(field, words, n, k, 0)
+    assert sampling._LAYOUT[RandomModel.UNIFORM_SUBSPACE][0](n, k) == (k + 1) * n
     for mat in g[:200]:
         assert (rref(Mat(field, mat))[0].data == mat).all()
     counts = Counter(mat.tobytes() for mat in g)
@@ -366,6 +374,15 @@ def test_estimate_json_roundtrip_drawn(q, n, data, model, samples, seed, stderr)
         {"seed": "abc"},
         {"seed": 11.0},
         {"seed": True},
+        {"stderr": "abc"},
+        {"stderr": -1.0},
+        {"stderr": math.nan},
+        {"stderr": True},
+        {"stderr": None},
+        {"q": "7"},
+        {"q": 5.0},
+        {"n": 6.0},
+        {"k1": True},
     ],
     ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()),
 )
@@ -386,8 +403,16 @@ def test_estimate_from_json_missing_key():
 
 
 def test_estimate_requires_samples():
-    with pytest.raises(BadRange):
-        mc_star_dim(Params(2, 3, 1, 1), samples=0)
+    # samples=True used to run one sample
+    for samples in (0, True, 2.0, "10"):
+        with pytest.raises(BadRange, match="samples"):
+            mc_star_dim(Params(2, 3, 1, 1), samples=samples)
+    # numpy integers pass and are stored as ints, so the Estimate serialises
+    p = Params(3, 6, 2, 3)
+    est = mc_kernel_size(p, RandomModel.UNIFORM_SUBSPACE, np.int64(300), np.uint64(5), 1)
+    assert est == mc_kernel_size(p, RandomModel.UNIFORM_SUBSPACE, 300, 5, 1)
+    assert type(est.samples) is int and type(est.seed) is int
+    assert Estimate.from_json(json.loads(json.dumps(est.to_json()))) == est
 
 
 def test_reproduce_table1_small():
