@@ -20,15 +20,35 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .codes import pairwise_product_rows
-from .exact import RandomModel
+from .errors import BadRange
+from .exact import RandomModel, _integer
 from .matrices import rank_many
 
 
 def resolve_threads(threads=None) -> int:
+    """threads; when it is None, STARPROD_THREADS, and when that is unset
+    or empty too, the CPUs this process may use.  A bool, a non-integer
+    or a value below 1 is a BadRange."""
+    name = "threads"
     if threads is None:
-        env = os.environ.get("STARPROD_THREADS")
-        threads = int(env) if env else (os.cpu_count() or 1)
-    return max(1, int(threads))
+        threads = os.environ.get("STARPROD_THREADS")
+        if not threads:
+            return _cpus()
+        name = "STARPROD_THREADS"
+        try:
+            threads = int(threads)
+        except ValueError:
+            raise BadRange(f"STARPROD_THREADS must be an integer, got {threads!r}") from None
+    if _integer(name, threads) < 1:
+        raise BadRange(f"{name} must be >= 1, got {threads!r}")
+    return int(threads)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def star_dims(field, g1: np.ndarray, g2: np.ndarray, prefix: int = 0) -> np.ndarray:
@@ -80,8 +100,8 @@ def dim_histogram(size: int, jobs, values, threads: int = 1) -> list:
     """Exact histogram, as Python ints of length size, of every entry of
     the integer arrays in [0, size) that values(job) yields for each job.
 
-    jobs must be a sequence when threads > 1; jobs then run on up to
-    threads worker threads.
+    jobs must be a sequence when threads > 1; jobs then run on
+    min(threads, len(jobs), the CPUs this process may use) worker threads.
     """
 
     def work(job):
@@ -90,8 +110,9 @@ def dim_histogram(size: int, jobs, values, threads: int = 1) -> list:
             counts += np.bincount(v, minlength=size)
         return counts
 
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+    workers = min(threads, len(jobs), _cpus()) if threads > 1 else 1
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(work, jobs))
     else:
         parts = map(work, jobs)

@@ -16,10 +16,15 @@ and row, by fields._mod (floor division, a mask at q = 2), never ``%``,
 which bounds every entry and lets the copy use the narrowest integer
 dtype holding the bound.  Extension fields up to q = 256 eliminate on a
 uint8 copy through the FieldSpec's q*q mul table; larger ones on an
-int64 copy.
+int64 copy.  A batch over GF(2), GF(4), GF(8) or GF(16) of at least
+64 m^2 matrices (q = 2^m) takes a bit-plane kernel instead: 64 lanes to
+a uint64 word, one plane per bit of the encoding, and a bitsliced
+elimination whose products are ANDs and XORs.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -234,14 +239,24 @@ def rank_many(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
     of two values in [0, q) unreduced.  An entry loses at most steps - 1
     such products, so it stays in [low, q - 1], low = -(steps - 1)(q - 1)^2,
     and the copy takes the narrowest signed integer dtype holding that range
-    (int8 for GF(2) up to 129 steps; int64 is enough for any q <= 2^16 and
-    side <= 4096).  A reduced pivot-row entry times the inverse, at most
-    (q - 1)^2, fits too: a step that scales has -low >= (q - 1)^2 (steps
-    >= 2), and the dtype's -min, an odd power of two, is no square.
+    (int8 for GF(2) up to 129 steps, on batches too small for the bit
+    planes; int64 is enough for any q <= 2^16 and side <= 4096).  A
+    reduced pivot-row entry times the inverse, at most (q - 1)^2, fits
+    too: a step that scales has -low >= (q - 1)^2 (steps >= 2), and the
+    dtype's -min, an odd power of two, is no square.
     Extension fields use the FieldSpec arithmetic, which keeps entries in
     [0, q): the copy is uint8 up to q = 256, where mul is one q*q table
     lookup, and int64 above.  Subtraction is XOR for p = 2; for odd p the
     digit-table sum returns int64, which the copy casts back.
+
+    A batch over GF(2^m), m <= 4, of at least 64 m^2 lanes is ranked on
+    bit planes instead (_plane_rank; _takes_planes is the rule).  The
+    rule rests on timings of both paths, best of 25 on 2 vCPUs with numpy
+    2.4, over shapes (2, 4), (4, 4), (5, 5), (6, 6), (16, 4), (10, 6)
+    and (9, 12): the planes overtook the path above at 32-64 lanes over
+    GF(2), 192-256 over GF(4), 384-512 over GF(8) and 768-1024 over
+    GF(16), and read 3.2-6.4x, 3.3-5.4x, 2.4-3.6x and 1.8-2.4x as fast
+    at 4096 lanes.  Over GF(32) they read 0.8-1.0x at 1024 lanes.
     """
     mats = np.asarray(mats)
     if mats.ndim != 3:
@@ -249,6 +264,8 @@ def rank_many(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
     B, R, C = mats.shape
     if B == 0 or R == 0 or C == 0:
         return np.zeros(B, dtype=np.int64)
+    if _takes_planes(field, B):
+        return _plane_rank(field, mats.transpose(0, 2, 1) if R >= C else mats)
     steps = min(R, C)
     q = field.q
     prime = field.m == 1
@@ -281,6 +298,103 @@ def rank_many(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
         else:
             rest[...] = field.sub(rest, field.mul(field.mul(prow, pivinv)[:, :, None], elim))
     return used.reshape(B, -1).sum(axis=1, dtype=np.int64)
+
+
+def _takes_planes(field: FieldSpec, lanes: int) -> bool:
+    """Whether rank_many ranks a batch of this many lanes by _plane_rank:
+    over GF(2^m), m <= 4, from 64 m^2 lanes (m^2 words of lanes) on."""
+    return field.p == 2 and field.m <= 4 and lanes >= 64 * field.m**2
+
+
+@functools.lru_cache(maxsize=None)
+def _plane_constants(field: FieldSpec) -> np.ndarray:
+    """The structure constants of GF(2^m) as uint64 masks, all ones where a
+    bit is set: c[i, a, k, j] is bit k of e_a * e_j^(2^i), i < m, for the
+    basis elements e_j = 2^j = x^j.  They are read from field.mul, so they
+    reduce by the shipped modulus; c[0] holds the products e_a * e_j."""
+    e = 1 << np.arange(field.m)
+    frob = [e]  # frob[i] = e^(2^i)
+    for _ in range(1, field.m):
+        frob.append(field.mul(frob[-1], frob[-1]))
+    prod = field.mul(e[:, None], np.array(frob)[:, None, :]).astype(np.int64)  # [i, a, j]
+    out = np.where(prod[:, :, None, :] & e[:, None] != 0, ~np.uint64(0), np.uint64(0))
+    out.flags.writeable = False
+    return out
+
+
+def _plane_times(consts: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrices of multiplication by the elements whose bit planes are
+    b (..., m, W): out[..., a, k, :] is plane k of e_a * b, the XOR of the
+    planes j of b with consts[a, k, j] set."""
+    return np.bitwise_xor.reduce(b[..., None, None, :, :] & consts[..., None], axis=-2)
+
+
+def _plane_apply(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The planes of a * b from the planes of a (m, ...) and the
+    multiplication matrices of b (m, m, ...): the XOR over i of a_i & mat[i]."""
+    return np.bitwise_xor.reduce(a[:, None] & mat, axis=0)
+
+
+def _plane_inverse(consts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The multiplication matrices (m, m, W) of x^-1 over GF(2^m), m >= 2,
+    for the planes x (m, W), zero where x = 0: x^-1 = x^(2^m - 2) is the
+    product of the Frobenius powers x^(2^i), i = 1..m-1, each of whose
+    matrices is GF(2)-linear in x (consts[i]), so their matrix product
+    is the inverse's."""
+    powers = _plane_times(consts[1:], x)
+    inv = powers[0]
+    for mat in powers[1:]:
+        inv = np.bitwise_xor.reduce(inv[:, :, None] & mat, axis=1)
+    return inv
+
+
+def _plane_rank(field: FieldSpec, mats: np.ndarray) -> np.ndarray:
+    """rank_many over GF(2^m) on bit planes, for a (batch, steps, rows)
+    tensor with steps <= rows.
+
+    Lane b of the batch is bit b % 64 of word b // 64 (packbits, little
+    bit order, viewed as uint64; only bitwise operations follow, so the
+    lanes stay put on any byte order).  The copy holds, per step and
+    plane, one row of words per row: (steps, m, rows, words).  At each
+    step a lane's candidates are its unused rows with a nonzero entry, its
+    pivot the first of them, found as the new bits of a prefix OR over
+    the rows; one OR-reduce reads the pivot row.  The other candidates
+    lose their entry times the pivot's inverse times the pivot row, a
+    bitsliced product: m^2 ANDs per step, XOR-reduced through the
+    structure constants.  The rank of a lane is the popcount of its used
+    rows, read by one unpackbits.
+    """
+    B, steps, rows = mats.shape
+    m = field.m
+    words = -(-B // 64)
+    lanes = np.array(mats.transpose(1, 2, 0), dtype=np.uint8, order="C")  # exact for entries in [0, 16)
+    planes = np.zeros((steps, m, rows, 8 * words), dtype=np.uint8)
+    for j in range(m):
+        planes[:, j, :, : -(-B // 8)] = np.packbits(lanes & (1 << j), axis=-1, bitorder="little")
+    planes = planes.view(np.uint64)
+    consts = _plane_constants(field)
+    used = np.zeros((rows, words), dtype=np.uint64)
+    for c in range(steps):
+        col = planes[c]
+        cand = np.bitwise_or.reduce(col, axis=0) & ~used
+        first = np.bitwise_or.accumulate(cand, axis=0)
+        if not first[-1].any():
+            continue
+        first[1:] ^= first[:-1]  # the first candidate of each lane
+        used |= first
+        if c + 1 == steps:
+            break
+        piv = np.bitwise_or.reduce(planes[c:] & first, axis=2)  # (steps - c, m, words)
+        other = col & (cand ^ first)
+        rest = planes[c + 1 :]
+        if m == 1:  # every pivot is 1
+            rest[:, 0] ^= other[0] & piv[1:, 0, None]
+            continue
+        other = _plane_apply(_plane_inverse(consts, piv[0])[:, :, None], other)
+        times = _plane_times(consts[0], piv[1:])  # (steps - c - 1, m, m, words)
+        rest ^= np.bitwise_xor.reduce(other[None, :, None] & times[:, :, :, None], axis=1)
+    bits = np.unpackbits(used.view(np.uint8), axis=1, count=B, bitorder="little")
+    return bits.sum(axis=0, dtype=np.int64)
 
 
 # -- text format ------------------------------------------------------------

@@ -28,6 +28,7 @@ bias below 2**-64 per column; no statistic here can see either.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -89,14 +90,17 @@ def _systematic_from_words(field, words, n, k, offset):
     return g.transpose(2, 0, 1)
 
 
+@functools.lru_cache(maxsize=64)
 def _pivot_thresholds(q: int, n: int, k: int) -> np.ndarray:
     """uint64 T[m, r] = floor(2**64 * P(first of m columns is a pivot |
     r pivots left)) = floor(2**64 * q**(m-r) qbinom(m-1, r-1) / qbinom(m, r)).
-    T[m, m] = 2**64 does not fit: the caller forces that pivot."""
+    T[m, m] = 2**64 does not fit: the caller forces that pivot.  Cached
+    per (q, n, k), so read-only."""
     t = np.zeros((n + 1, k + 1), dtype=np.uint64)
     for m in range(1, n + 1):
         for r in range(1, min(k, m - 1) + 1):
             t[m, r] = (q ** (m - r) * _qbinom(m - 1, r - 1, q) << 64) // _qbinom(m, r, q)
+    t.flags.writeable = False
     return t
 
 

@@ -72,6 +72,17 @@ def test_mc_deterministic_json(capsys):
     assert est.samples == 3000 and est.seed == 4
 
 
+def test_thread_counts_below_one_or_not_integers_exit_2(capsys, monkeypatch):
+    args = ["mc", "-q", "2", "-n", "7", "-k1", "2", "-k2", "3", "--samples", "30"]
+    code, _, err = run(capsys, *args, "--threads", "0")
+    assert code == 2 and "threads must be >= 1" in err
+    for env in ("abc", "-3"):
+        monkeypatch.setenv("STARPROD_THREADS", env)
+        code, _, err = run(capsys, *args)
+        assert code == 2 and "STARPROD_THREADS" in err
+    assert run(capsys, *args, "--threads", "1")[0] == 0  # the flag wins over the variable
+
+
 def test_mc_kernel_and_full_dim_stats(capsys):
     code, out, _ = run(
         capsys, "mc", "-q", "2", "-n", "4", "-k1", "2", "-k2", "2",

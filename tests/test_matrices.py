@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from starprod import Mat, field_make, format_matrix, load_matrix, mat_mul, parse_matrix, rank, rank_many, right_kernel_basis, rref, save_matrix
 from starprod.errors import FieldMismatch, TooLarge
-from starprod.matrices import identity, stack, zeros
+from starprod.matrices import _plane_apply, _plane_constants, _plane_inverse, _plane_times, _takes_planes, identity, stack, zeros
 
 
 def test_rref_identity_and_zero():
@@ -180,6 +180,83 @@ def test_rank_many_wide_batches_property(case):
     assert rank_many(f, batch).tolist() == [rank(Mat(f, b)) for b in batch]
 
 
+PLANE_QS = (2, 4, 8, 16)  # the fields whose large batches take the bit planes
+
+
+def _small_batch_ranks(f, batch):
+    """rank_many of batch in runs of lanes too few for the bit planes, so
+    on the elimination path that the properties above pin to rref."""
+    run = 64 * f.m**2 - 1
+    assert not _takes_planes(f, run) and _takes_planes(f, run + 1)
+    return np.concatenate([rank_many(f, batch[i : i + run]) for i in range(0, len(batch), run)])
+
+
+def _mixed_ranks(rng, q, shape):
+    """Entries in [0, q), each lane with its own share of zeros, so that a
+    batch holds many ranks and a lane read in the wrong place shows."""
+    batch = rng.integers(0, q, size=shape)
+    return batch * (rng.random(shape) < rng.random((shape[0], 1, 1)))
+
+
+@st.composite
+def plane_batches(draw):
+    """(field, batch) over GF(2^m), m <= 4, with a batch size on either
+    side of the bit-plane rule's 64 m^2 lanes or across the 64-lane words
+    past it, rows and cols up to 9 (either may be 0, or exceed the other),
+    and the first rows repeated in some batches (rank deficient); the
+    entries come from a seeded generator (_mixed_ranks)."""
+    q = draw(st.sampled_from(PLANE_QS))
+    f = field_make(2, q.bit_length() - 1)
+    least = 64 * f.m**2
+    shape = (draw(st.sampled_from((least - 1, least, least + 1, least + 63, 2 * least + 37))),) + draw(
+        st.tuples(st.integers(0, 9), st.integers(0, 9))
+    )
+    batch = _mixed_ranks(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), q, shape)
+    if draw(st.booleans()):
+        half = shape[1] // 2
+        batch[:, shape[1] - half :] = batch[:, :half]
+    return f, batch.astype(draw(st.sampled_from((np.uint8, np.int64))))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(plane_batches())
+def test_rank_many_bit_plane_batches_property(case):
+    f, batch = case
+    got = rank_many(f, batch)
+    assert got.dtype == np.int64 and got.tolist() == _small_batch_ranks(f, batch).tolist()
+    ends = batch[[0, -1]]
+    assert got[[0, -1]].tolist() == [rank(Mat(f, b)) for b in ends]
+
+
+def _planes(f, values):
+    """The bit planes (m, words) of the encoded elements, lane b at bit
+    b % 64 of word b // 64, as _plane_rank lays them out."""
+    bits = np.zeros((f.m, -(-len(values) // 64) * 64), dtype=np.uint8)
+    bits[:, : len(values)] = values >> np.arange(f.m)[:, None] & 1
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+
+def _elements(planes, count):
+    bits = np.unpackbits(planes.view(np.uint8), axis=-1, count=count, bitorder="little")
+    return (1 << np.arange(len(planes))) @ bits
+
+
+@pytest.mark.parametrize("q", PLANE_QS)
+def test_bit_plane_products_equal_field_tables(q):
+    # all q^2 pairs, one to a lane: a * b and a * b^-1 (0 for b = 0)
+    f = field_make(2, q.bit_length() - 1)
+    consts = _plane_constants(f)
+    a, b = np.arange(q).repeat(q), np.tile(np.arange(q), q)
+    pa, pb = _planes(f, a), _planes(f, b)
+    assert _elements(_plane_apply(_plane_times(consts[0], pb), pa), q * q).tolist() == f.mul(a, b).tolist()
+    if f.m > 1:
+        quotient = _elements(_plane_apply(_plane_inverse(consts, pb), pa), q * q)
+        nonzero = b != 0
+        assert quotient[nonzero].tolist() == f.div(a[nonzero], b[nonzero]).tolist()
+        assert not quotient[~nonzero].any()
+    assert not consts.flags.writeable
+
+
 def _deferred_bound_worst_case(q, s, dependent):
     """An s x s matrix whose last entry loses (q-1)^2 at each of the s-1
     elimination steps, the most the deferred reduction allows: rows
@@ -211,7 +288,8 @@ def _scaled_pivot_row_case(q, s):
 # int32 for GF(251); int32 -> int64 for GF(65521).  GF(13) switches int8
 # -> int16 at 2 steps, the first at which the scaled pivot row's (q - 1)^2
 # = 144 must fit.  Over GF(2) wraparound modulo 2^8 keeps parity, so no
-# input can expose an int8 overflow there.
+# input can expose an int8 overflow there.  Seven lanes keep GF(2) off the
+# bit planes, which start at 64.
 @pytest.mark.parametrize("q,s", [(2, 129), (2, 130), (3, 33), (3, 34), (7, 4), (7, 5), (13, 1), (13, 2), (251, 1), (251, 2), (65521, 1), (65521, 2), (65521, 3)])
 def test_rank_many_dtype_boundaries(q, s):
     f = field_make(q)
@@ -223,6 +301,7 @@ def test_rank_many_dtype_boundaries(q, s):
         _scaled_pivot_row_case(q, s),
         *rng.integers(0, q, size=(3, s, s)),
     ]
+    assert not _takes_planes(f, len(square))
     want = [rank(Mat(f, a)) for a in square]
     assert want[:4] == [s - 1, s, 1, s - 1]
     tall = np.stack([np.vstack([a, np.zeros((1, s), dtype=np.int64)]) for a in square])
@@ -239,14 +318,26 @@ def test_rank_many_contract():
     assert rank_many(f, read_only).tolist() == [rank(Mat(f, read_only[0]))]
     assert (read_only == before).all()
     # (4, 8, 6) stores the elimination layout of the first two views (the
-    # second on the transposed path) in the dtype rank_many works in
-    for f, dtype in ((field_make(2), np.int8), (field_make(2, 2), np.int64)):
+    # second on the transposed path) in the dtype rank_many works in, on
+    # fields that never take the bit planes
+    for f, dtype in ((field_make(3), np.int8), (field_make(3, 2), np.uint8)):
         store = rng.integers(0, f.q, size=(4, 8, 6)).astype(dtype)
         before = store.copy()
         for view in (store.transpose(1, 2, 0), store.transpose(1, 0, 2), store[::-1, ::2]):
             got = rank_many(f, view)
             assert got.dtype == np.int64 and got.shape == view.shape[:1]
             assert got.tolist() == [rank(Mat(f, b)) for b in view]
+        assert (store == before).all()
+    # read-only, transposed, reversed and strided views on the bit planes
+    for q in PLANE_QS:
+        f = field_make(2, q.bit_length() - 1)
+        store = _mixed_ranks(rng, q, (2 * 64 * f.m**2 + 3, 8, 6)).astype(np.uint8)
+        store.flags.writeable = False
+        before = store.copy()
+        for view in (store, store.transpose(0, 2, 1), store[::-1, ::2], store[::2, 1:]):
+            assert _takes_planes(f, len(view))
+            got = rank_many(f, view)
+            assert got.dtype == np.int64 and got.tolist() == _small_batch_ranks(f, view).tolist()
         assert (store == before).all()
     assert rank_many(f, np.zeros((0, 3, 5), dtype=np.int64)).dtype == np.int64
     with pytest.raises(ValueError):

@@ -142,6 +142,8 @@ def test_pivot_thresholds_exact(q, n, k):
         assert abs(prob - want) <= Fraction(n, 2**64), pivots
         total += prob
     assert abs(total - 1) <= Fraction(n, 2**64)
+    # one shared table per (q, n, k), which no caller can change
+    assert sampling._pivot_thresholds(q, n, k) is t and not t.flags.writeable
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starprod import Params, RandomModel, field_from_order, field_make, intersection_dim, star_product
-from starprod._tally import dim_histogram, meet_dims, star_dims
-from starprod.errors import ZeroCode
+from starprod import Params, RandomModel, _tally, field_from_order, field_make, intersection_dim, mc_star_dim, star_product
+from starprod._tally import dim_histogram, meet_dims, resolve_threads, star_dims
+from starprod.errors import BadRange, ZeroCode
 from starprod.sampling import _pair_generators
 
 from conftest import random_code
@@ -55,6 +55,51 @@ def test_dim_histogram_independent_of_jobs_and_threads():
         split = dim_histogram(5, range(6), one_pair, threads)
         assert split == whole
     assert sum(whole) == 6 and all(type(c) is int for c in whole)
+
+
+def test_resolve_threads_refuses_non_counts(monkeypatch):
+    monkeypatch.delenv("STARPROD_THREADS", raising=False)
+    assert resolve_threads(None) == _tally._cpus() and resolve_threads(np.int64(3)) == 3
+    for bad in (True, 2.0, "2", 0, -3):
+        with pytest.raises(BadRange, match="threads"):
+            resolve_threads(bad)
+    for env, want in (("3", 3), ("", _tally._cpus())):
+        monkeypatch.setenv("STARPROD_THREADS", env)
+        assert resolve_threads(None) == want
+    assert resolve_threads(2) == 2  # an explicit count wins over the variable
+    for env in ("abc", "-3", "0", "1.5"):
+        monkeypatch.setenv("STARPROD_THREADS", env)
+        with pytest.raises(BadRange, match="STARPROD_THREADS"):
+            resolve_threads(None)
+
+
+def test_thread_pool_capped_by_jobs_and_cpus(monkeypatch):
+    # the spy records the pool size and runs the jobs on the calling thread
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(_tally, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(_tally, "_cpus", lambda: 3)
+    values = lambda job: [np.array([job % 3])]
+    for threads, jobs in ((10**5, 30), (2, 30), (10**5, 2), (10**5, 1), (1, 30)):
+        assert dim_histogram(3, range(jobs), values, threads) == dim_histogram(3, range(jobs), values)
+    assert sizes == [3, 2, 2]  # one job or one thread: no pool
+    p = Params(2, 6, 2, 3)
+    samples = 3 * 4096 + 1  # four chunks
+    est = mc_star_dim(p, RandomModel.UNIFORM_SUBSPACE, samples, 5, 10**5)
+    assert sizes[3:] == [3] and est == mc_star_dim(p, RandomModel.UNIFORM_SUBSPACE, samples, 5, 1)
 
 
 PEEL_QS = [2, 3, 4, 5, 7, 8, 9]
