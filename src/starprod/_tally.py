@@ -21,7 +21,8 @@ import numpy as np
 
 from .codes import pairwise_product_rows
 from .errors import BadRange
-from .exact import RandomModel, _integer
+from .exact import RandomModel
+from .fields import _integer
 from .matrices import rank_many
 
 

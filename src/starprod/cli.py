@@ -4,8 +4,10 @@ Subcommands: bound, expect-kernel, mc, table1, oracle, mds, intersect,
 limit-q, apps {pir,sdmm,csst}, example-mds.  Exit codes: 0 success,
 1 failed oracle check, 2 usage or validation error, 3 enumeration budget
 exceeded, 4 I/O error.  Exact rationals print as num/den plus a decimal
-rendering to 10 significant digits; estimates and app reports print as
-JSON.  STARPROD_THREADS overrides --threads when the flag is absent;
+to 10 significant digits, rounded half up from the exact quotient by the
+standard library's decimal module (_dec); estimates and app reports print
+as JSON, and a float view of an exact value past the float range prints
+as +-inf.  STARPROD_THREADS overrides --threads when the flag is absent;
 example-mds accepts --threads and ignores it.  oracle runs q in
 {2, 3, 4, 5, 7, 8, 9} up to --qmax, skips grid points over
 oracle.DEFAULT_BUDGET instead of exiting 3, and exits 2 if it checks none.
@@ -14,6 +16,7 @@ oracle.DEFAULT_BUDGET instead of exiting 3, and exits 2 if it checks none.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import os
@@ -29,11 +32,23 @@ from .matrices import load_matrix, save_matrix
 
 
 def _dec(x: Fraction) -> str:
-    import mpmath  # here, not at module level: only this rendering needs it
-
-    with mpmath.workdps(25):
-        val = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-        return mpmath.nstr(val, 10)
+    """x to 10 significant digits, rounded half up (away from zero) from
+    the exact quotient.  With e the exponent of the leading digit after
+    rounding, the digits print in fixed point when -5 < e < 10 and as
+    d.ddde+X or d.ddde-X otherwise, trailing zeros stripped but one digit
+    kept after the point: 0.0, 1.000976563, 0.0001, 1.0e-5, 1.0e+10."""
+    ctx = decimal.Context(prec=10, rounding=decimal.ROUND_HALF_UP, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    d = ctx.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator))
+    if not d:
+        return "0.0"
+    sign, digits, _ = d.as_tuple()
+    e = d.adjusted()
+    digits = "".join(map(str, digits)).rstrip("0")
+    if -5 < e < 10:
+        digits = "0" * -e + digits.ljust(e + 1, "0")
+        point = max(e, 0) + 1
+        return "-" * sign + f"{digits[:point]}.{digits[point:] or '0'}"
+    return "-" * sign + f"{digits[0]}.{digits[1:] or '0'}e{e:+d}"
 
 
 def _frac(x: Fraction) -> str:
@@ -234,7 +249,7 @@ def cmd_limit_q(args) -> int:
         p = exact.Params(q=q, n=args.n, k1=args.k1, k2=args.k2)
         e = exact.expected_kernel_size(p)
         lim = exact.kernel_limit_value(p)
-        gap = float(abs(e - lim))
+        gap = exact._float(abs(e - lim))
         lines.append(f"q={q}: E = {_frac(e)}, limit = {_frac(lim)}, |gap| = {gap:.6g}")
         rows.append({"q": q, **_exact_json("kernel", e), **_exact_json("limit", lim), "abs_gap": gap})
     _emit(args, lines, rows)

@@ -8,29 +8,36 @@ fixed-precision evaluation.
 
 Conventions, applied uniformly through binom() and qbinom(): binomial and
 q-binomial coefficients are zero whenever any argument is negative or the
-lower index exceeds the upper one, and the empty product is 1.
+lower index exceeds the upper one, and the empty product is 1.  Every
+integer argument of a public function must be an integer (_integer):
+a bool, a float or a string is a BadRange, and a numpy integer counts
+as the int it holds.
 """
 
 from __future__ import annotations
 
 import decimal
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BadRange, UncoveredCase
-from .fields import prime_power
+from .fields import _integer, prime_power
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; a bool or a non-integer is a BadRange (numpy
-    integers pass)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise BadRange(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _integers(**values) -> tuple:
+    """The values as ints, in order (_integer)."""
+    return tuple(_integer(name, value) for name, value in values.items())
+
+
+def _float(x: Fraction) -> float:
+    """float(x), or +-inf where x lies past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,7 @@ class RandomModel(Enum):
 
 def binom(n: int, k: int) -> int:
     """Binomial coefficient with the zero convention for bad arguments."""
+    n, k = _integers(n=n, k=k)
     if n < 0 or k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -81,6 +89,7 @@ def qbinom(n: int, k: int, q: int) -> int:
     Zero when k > n or any argument is negative; 1 on empty products.
     Raises BadRange when q is not a prime power.
     """
+    n, k, q = _integers(n=n, k=k, q=q)
     prime_power(q, BadRange)
     return _qbinom(n, k, q)
 
@@ -104,9 +113,9 @@ def _zero_diag_terms(k1: int, k2: int, r: int, q: int) -> list[int]:
     vanish beyond)."""
     terms = []
     for j in range(r + 1):
-        ci = sum(binom(k1, i) * (q - 1) ** i * _qbinom(k1 - i, j, q) for i in range(k1 - j + 1))
+        ci = sum(math.comb(k1, i) * (q - 1) ** i * _qbinom(k1 - i, j, q) for i in range(k1 - j + 1))
         qb = _qbinom(k1 - j, k1 - r, q)
-        terms.append((-1) ** (r - j) * q ** (j * k2 + binom(r - j, 2)) * qb * ci)
+        terms.append((-1) ** (r - j) * q ** (j * k2 + math.comb(r - j, 2)) * qb * ci)
     return terms
 
 
@@ -116,6 +125,7 @@ def count_zero_diag_rank(k1: int, k2: int, r: int, q: int) -> int:
     Inclusion-exclusion over the diagonal constraints; the alternating
     sum is always divisible by q**k1.
     """
+    k1, k2, r, q = _integers(k1=k1, k2=k2, r=r, q=q)
     prime_power(q, BadRange)
     if not 0 <= r <= k1 <= k2:
         raise BadRange(f"need 0 <= r <= k1 <= k2, got r={r} k1={k1} k2={k2}")
@@ -133,6 +143,7 @@ def count_zero_diag_rank_zerocols(k1: int, k2: int, r: int, ell: int, q: int) ->
     each of the remaining ones.  Moebius inversion over column subsets
     reduces this to plain zero-diagonal counts at shrunken widths.
     """
+    k1, k2, r, ell, q = _integers(k1=k1, k2=k2, r=r, ell=ell, q=q)
     prime_power(q, BadRange)
     if not 0 <= r <= k1 <= k2:
         raise BadRange(f"need 0 <= r <= k1 <= k2, got r={r} k1={k1} k2={k2}")
@@ -141,7 +152,7 @@ def count_zero_diag_rank_zerocols(k1: int, k2: int, r: int, ell: int, q: int) ->
         raise BadRange(f"need 0 <= ell <= k2 - k1, got ell={ell}")
     total = 0
     for m in range(ell, w + 1):
-        total += (-1) ** (m - ell) * binom(w - ell, m - ell) * count_zero_diag_rank(
+        total += (-1) ** (m - ell) * math.comb(w - ell, m - ell) * count_zero_diag_rank(
             k1, k2 - m, r, q
         )
     return total
@@ -149,6 +160,7 @@ def count_zero_diag_rank_zerocols(k1: int, k2: int, r: int, ell: int, q: int) ->
 
 def zeros_of_form(r: int, k1: int, k2: int, q: int) -> int:
     """Number of zeros of any rank-r bilinear form on F_q^k1 x F_q^k2."""
+    r, k1, k2, q = _integers(r=r, k1=k1, k2=k2, q=q)
     prime_power(q, BadRange)
     if k1 < 1 or k2 < 1:
         raise BadRange("form dimensions must be >= 1")
@@ -213,12 +225,13 @@ def expected_star_dim_mds(q: int, n: int, k1: int, k2: int) -> Fraction:
     UncoveredCase is raised.  Existence of an MDS [n, k1] code over F_q
     is assumed, not checked.
     """
+    q, n, k1, k2 = _integers(q=q, n=n, k1=k1, k2=k2)
     prime_power(q, BadRange)
     if not (1 <= k1 <= n and 1 <= k2 <= n):
         raise BadRange(f"need 1 <= k1, k2 <= n, got k1={k1} k2={k2} n={n}")
     if k2 == 1 or k2 >= n - k1 + 1:
         total = sum(
-            min(s, k1 + k2 - 1) * binom(n, s) * count_subspaces_with_support(q, n, k2, s)
+            min(s, k1 + k2 - 1) * math.comb(n, s) * count_subspaces_with_support(q, n, k2, s)
             for s in range(n + 1)
         )
         return Fraction(total, _qbinom(n, k2, q))
@@ -230,10 +243,11 @@ def expected_star_dim_mds(q: int, n: int, k1: int, k2: int) -> Fraction:
 def count_subspaces_with_support(q: int, n: int, ell: int, s: int) -> int:
     """Number of ell-dim subspaces of F_q^n whose support is a fixed
     s-element coordinate set, by inclusion-exclusion over subsets."""
+    q, n, ell, s = _integers(q=q, n=n, ell=ell, s=s)
     prime_power(q, BadRange)
     if not (0 <= ell <= n and 0 <= s <= n):
         raise BadRange(f"need 0 <= ell, s <= n, got ell={ell} s={s} n={n}")
-    return sum((-1) ** (s - i) * binom(s, i) * _qbinom(i, ell, q) for i in range(ell, s + 1))
+    return sum((-1) ** (s - i) * math.comb(s, i) * _qbinom(i, ell, q) for i in range(ell, s + 1))
 
 
 def expected_intersection_dim(p: Params) -> Fraction:
@@ -266,6 +280,7 @@ def full_dim_probability_bound_exponent(q: int, t: int) -> float:
     only asymptotically; at small parameters it is advisory and should be
     reported next to empirical frequencies, never asserted against them.
     """
+    q, t = _integers(q=q, t=t)
     prime_power(q, BadRange)
     if t < 0:
         raise BadRange(f"exponent must be >= 0, got {t}")
@@ -274,6 +289,7 @@ def full_dim_probability_bound_exponent(q: int, t: int) -> float:
 
 def full_dim_probability_bound(q: int, n: int, k1: int, k2: int) -> float:
     """Same bound with the exponent n - k1*k2 (requires n >= k1*k2)."""
+    q, n, k1, k2 = _integers(q=q, n=n, k1=k1, k2=k2)
     if n < k1 * k2:
         raise BadRange(f"need n >= k1*k2 for this form, got n={n}, k1*k2={k1 * k2}")
     return full_dim_probability_bound_exponent(q, n - k1 * k2)
@@ -283,6 +299,7 @@ def kernel_conjecture_value(q: int, k1: int, k2: int) -> float:
     """Conjectured growing-dimension kernel-size limit
     exp((q - 1) * k2 * (k1 - 1) / q**k1) + 1, for exploratory comparison
     against expected_kernel_size."""
+    q, k1, k2 = _integers(q=q, k1=k1, k2=k2)
     prime_power(q, BadRange)
     if k1 < 1 or k2 < 1:
         raise BadRange("dimensions must be >= 1")

@@ -21,6 +21,7 @@ which holds [0, q): uint8 for uint8 inputs, int64 for int64 ones.
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -30,6 +31,14 @@ from .errors import BadRange, DivisionByZero, NoModulusTableEntry, NotPrime, Too
 Q_LIMIT = 2**16
 _TABLE_Q = 256  # extension fields up to this order use q*q uint8 tables
 _INT64 = np.dtype(np.int64)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a bool or a non-integer is a BadRange (numpy
+    integers pass)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadRange(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _fitted(lo: int, hi: int, *arrays) -> tuple:
@@ -233,18 +242,23 @@ class FieldSpec:
         return f"GF({self.p}^{self.m})"
 
 
-@functools.lru_cache(maxsize=None)
 def field_make(p: int, m: int = 1) -> FieldSpec:
-    """Construct (and cache) GF(p**m).  p must be prime and p**m <= 2**16."""
-    return FieldSpec(p, m)
+    """Construct (and cache) GF(p**m).  p must be prime and p**m <= 2**16;
+    p or m not an integer (_integer) is a BadRange."""
+    return _field(_integer("p", p), _integer("m", m))
+
+
+_field = functools.lru_cache(maxsize=None)(FieldSpec)
 
 
 def prime_power(q: int, error=NotPrime) -> tuple:
     """Return (p, m) with q = p**m and p prime, without building tables.
 
-    Raises BadRange when q < 2 or p >= _MR_LIMIT, where primality is not
-    certified, and error when q is not a prime power.
+    Raises BadRange when q is not an integer (_integer), q < 2 or p >=
+    _MR_LIMIT, where primality is not certified, and error when q is not a
+    prime power.
     """
+    q = _integer("q", q)
     if q < 2:
         raise BadRange(f"field order must be >= 2, got {q}")
     # p**m = q with the largest such m; p is then prime or q no prime power
@@ -270,7 +284,7 @@ def _root(q: int, m: int) -> int:
 @functools.lru_cache(maxsize=None)
 def field_from_order(q: int) -> FieldSpec:
     """Construct GF(q) from the order q = p**m."""
-    if q > Q_LIMIT:  # before factoring, so that any order above it raises TooLarge
+    if _integer("q", q) > Q_LIMIT:  # before factoring, so that any order above it raises TooLarge
         raise TooLarge(f"field order {q} exceeds limit {Q_LIMIT}")
     return field_make(*prime_power(q))
 

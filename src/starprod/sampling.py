@@ -39,8 +39,8 @@ import numpy as np
 from ._tally import dim_histogram, meet_dims, pair_stat, resolve_threads, star_dims
 from .codes import LinearCode, code_from_matrix
 from .errors import BadRange
-from .exact import Params, RandomModel, _integer, _qbinom, star_dim_lower_bound
-from .fields import FieldSpec, _mod, field_from_order
+from .exact import Params, RandomModel, _float, _qbinom, star_dim_lower_bound
+from .fields import FieldSpec, _integer, _mod, field_from_order
 from .matrices import Mat, _rref_cells
 
 _KEY_CONST = 0x5374617250726F64  # stream key tag
@@ -182,7 +182,8 @@ class Estimate:
 
     @property
     def mean_f64(self) -> float:
-        return self.total / self.samples
+        """The mean as a float, +-inf past the float range (_float)."""
+        return _float(self.mean)
 
     def to_json(self) -> dict:
         return {
@@ -236,10 +237,7 @@ def _stderr_from_sums(total: int, total_sq: int, n: int) -> float:
     if n < 2:
         return 0.0
     num = n * total_sq - total * total  # >= 0 by Cauchy-Schwarz, exactly
-    try:
-        return math.sqrt(float(Fraction(num, n * n * (n - 1))))
-    except OverflowError:
-        return math.inf
+    return math.sqrt(_float(Fraction(num, n * n * (n - 1))))
 
 
 def _sample_histogram(p: Params, model, samples, seed, threads, stat) -> list:

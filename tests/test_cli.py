@@ -1,13 +1,18 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starprod import Estimate, Mat, field_make, save_matrix
+from starprod import Estimate, Mat, Params, expected_kernel_size, field_make, save_matrix
 from starprod.catalog import (
     evaluation_code,
     full_space,
@@ -16,7 +21,7 @@ from starprod.catalog import (
     repetition_code,
     single_coordinate_code,
 )
-from starprod.cli import main
+from starprod.cli import _dec, main
 from starprod.matrices import identity
 from starprod.oracle import exact_expected_star_dim_fixed
 
@@ -144,6 +149,29 @@ def test_limit_q_subcommand(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 3 and lines[0].startswith("q=2:")
+
+
+def test_mc_mean_past_the_float_range_prints_inf(capsys):
+    # every sample has kernel 7**380, past the float range: the float view
+    # is inf and the exact fields stay exact (exit 1 is a failed oracle check)
+    argv = ("mc", "-q", "7", "-n", "20", "-k1", "20", "-k2", "20", "--stat", "kernel-size", "--samples", "3")
+    code, out, err = run(capsys, *argv, "--threads", "1")
+    obj = json.loads(out)
+    assert (code, err) == (0, "") and obj["mean_f64"] == math.inf and obj["stderr"] == 0.0
+    kernel = 7 ** (20 * 20 - 20)
+    assert (obj["sum"], obj["mean_num"], obj["mean_den"]) == (str(3 * kernel), str(kernel), "1")
+
+
+def test_limit_q_gap_past_the_float_range_prints_inf(capsys):
+    e = expected_kernel_size(Params(7, 30, 25, 30))
+    argv = ("limit-q", "-n", "30", "-k1", "25", "-k2", "30", "--qlist", "7")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith(f"q=7: E = {e.numerator}/{e.denominator}, ")
+    assert out.endswith(", |gap| = inf\n")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    [row] = json.loads(out)
+    assert (code, err) == (0, "") and row["abs_gap"] == math.inf
+    assert (row["kernel_num"], row["kernel_den"]) == (str(e.numerator), str(e.denominator))
 
 
 @pytest.mark.parametrize("fmt", [(), ("--format", "json")])
@@ -413,11 +441,97 @@ def test_golden_stdout(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
-def test_import_does_not_load_mpmath():
-    # mpmath is loaded only when the CLI prints an exact rational's decimal
+def _run_python(code):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, starprod, starprod.cli; assert 'mpmath' not in sys.modules, 'mpmath imported'"
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_import_does_not_load_mpmath():
+    # mpmath is a test dependency only
+    res = _run_python("import sys, starprod, starprod.cli; assert 'mpmath' not in sys.modules, 'mpmath imported'")
     assert res.returncode == 0, res.stderr
+
+
+def test_exact_decimals_print_with_mpmath_blocked():
+    # None in sys.modules makes any import of mpmath raise ImportError
+    res = _run_python(
+        "import sys; sys.modules['mpmath'] = None; from starprod import cli; "
+        "sys.exit(cli.main(['bound', '-q', '2', '-n', '7', '-k1', '2', '-k2', '3']))"
+    )
+    assert (res.returncode, res.stdout) == (0, "E[kernel] = 25481/8192 (= 3.110473633)\nbound = 4.362865723\n"), res.stderr
+
+
+# -- the 10-digit decimal of an exact rational --------------------------------
+
+DEC_EXAMPLES = {
+    Fraction(0): "0.0",
+    Fraction(1025, 1024): "1.000976563",  # an exact binary tie
+    Fraction(12345678905, 10**10): "1.234567891",  # a decimal tie; mpmath prints 1.23456789
+    Fraction(99999999995, 10**10): "10.0",  # a decimal tie that carries; mpmath prints 9.999999999
+    Fraction(99999999995, 10): "1.0e+10",
+    Fraction(-(10**9)): "-1000000000.0",
+    Fraction(1, 10**4): "0.0001",
+    Fraction(1, 10**5): "1.0e-5",
+    Fraction(10**10): "1.0e+10",
+    Fraction(-3, 7): "-0.4285714286",
+    Fraction(7) ** 1600: "1.435040053e+1352",
+    Fraction(7) ** -1600: "6.968446614e-1353",
+}
+
+
+@pytest.mark.parametrize("x,want", DEC_EXAMPLES.items(), ids=str)
+def test_dec_examples(x, want):
+    assert _dec(x) == want
+
+
+def _half_up(x: Fraction) -> tuple:
+    """x rounded half away from zero to 10 significant digits, exactly,
+    and the distance of its scaled digits from the nearest half-way point,
+    relative to the digits."""
+    a = abs(x)
+    e = math.floor(math.log10(a.numerator) - math.log10(a.denominator))
+    e += (Fraction(10) ** (e + 1) <= a) - (Fraction(10) ** e > a)
+    scale = Fraction(10) ** (9 - e)
+    y = a * scale
+    rounded = math.floor(y + Fraction(1, 2))
+    return (1 if x > 0 else -1) * rounded / scale, abs(y - math.floor(y) - Fraction(1, 2)) / y
+
+
+def _mpmath_dec(x: Fraction) -> str:
+    with mpmath.workdps(25):
+        return mpmath.nstr(mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator), 10)
+
+
+# num / q**k * 10**shift: wide exponents, denominators that are powers of
+# field orders, and numerators with runs of 9s that carry
+WIDE_FRACTIONS = st.builds(
+    lambda num, q, k, shift: Fraction(num, q**k) * Fraction(10) ** shift,
+    st.one_of(
+        st.integers(-(10**30), 10**30).filter(bool),
+        st.builds(lambda t, d: 10**t - d, st.integers(9, 14), st.integers(0, 9)),
+    ),
+    st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 256)),
+    st.integers(0, 400),
+    st.integers(-30, 30),
+)
+# +-(10 m + 5) * 10**shift, m of 10 digits: half-way between two 10-digit decimals
+DECIMAL_TIES = st.builds(
+    lambda sign, m, shift: sign * Fraction(10 * m + 5) * Fraction(10) ** shift,
+    st.sampled_from((1, -1)),
+    st.integers(10**9, 10**10 - 1),
+    st.integers(-30, 30),
+)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.one_of(WIDE_FRACTIONS, DECIMAL_TIES))
+def test_dec_rounds_half_up_and_matches_mpmath(x):
+    # the exact half-up value always; mpmath's rendering wherever its binary
+    # quotient (86 bits, read back through about 53) cannot misround
+    got = _dec(x)
+    want, tie_distance = _half_up(x)
+    assert Fraction(got) == want
+    if tie_distance > Fraction(1, 2**50):
+        assert got == _mpmath_dec(x)

@@ -25,6 +25,8 @@ from starprod import (
     zeros_of_form,
 )
 from starprod.errors import BadRange, UncoveredCase
+from starprod.exact import _float
+from starprod.fields import field_from_order, prime_power
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
 SMALL_QS = (2, 3, 4, 5, 7, 8, 9)
@@ -46,6 +48,44 @@ def test_params_normalisation_and_validation():
     p = Params(np.int64(7), np.int32(5), np.uint8(3), np.int16(2))
     assert p == Params(7, 5, 2, 3)
     assert all(type(v) is int for v in (p.q, p.n, p.k1, p.k2))
+
+
+INTEGER_ARGUMENT_CALLS = [
+    (binom, (5, 2)),
+    (qbinom, (5, 2, 2)),
+    (count_zero_diag_rank, (2, 3, 1, 3)),
+    (count_zero_diag_rank_zerocols, (2, 4, 1, 1, 2)),
+    (zeros_of_form, (1, 2, 2, 2)),
+    (expected_star_dim_mds, (2, 3, 2, 2)),
+    (count_subspaces_with_support, (2, 3, 2, 3)),
+    (full_dim_probability_bound_exponent, (3, 2)),
+    (full_dim_probability_bound, (2, 5, 2, 2)),
+    (kernel_conjecture_value, (3, 2, 3)),
+    (prime_power, (9,)),
+    (field_make, (2, 2)),
+    (field_from_order, (4,)),
+]
+
+
+@pytest.mark.parametrize("fn,args", INTEGER_ARGUMENT_CALLS, ids=[fn.__name__ for fn, _ in INTEGER_ARGUMENT_CALLS])
+def test_integer_arguments_refuse_floats_bools_and_strings(fn, args):
+    # the Params rule on every integer argument at the fields/exact boundary:
+    # a whole float, a bool and a string are refused, a numpy integer is the int it holds
+    want = fn(*args)
+    for i, value in enumerate(args):
+        for bad in (float(value), True, str(value)):
+            with pytest.raises(BadRange, match="must be an integer"):
+                fn(*args[:i], bad, *args[i + 1 :])
+        got = fn(*args[:i], np.int64(value), *args[i + 1 :])
+        assert got == want and type(got) is type(want)
+    got = fn(*(np.uint8(v) for v in args))
+    assert got == want and type(got) is type(want)
+
+
+def test_float_view_of_exact_values_is_inf_past_the_float_range():
+    assert _float(Fraction(1, 3)) == 1 / 3
+    assert _float(Fraction(7) ** 400) == math.inf and _float(-Fraction(7) ** 400) == -math.inf
+    assert _float(Fraction(7) ** -400) == 0.0
 
 
 def test_binom_conventions():

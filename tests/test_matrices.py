@@ -203,8 +203,10 @@ def plane_batches(draw):
     """(field, batch) over GF(2^m), m <= 4, with a batch size on either
     side of the bit-plane rule's 64 m^2 lanes or across the 64-lane words
     past it, rows and cols up to 9 (either may be 0, or exceed the other),
-    and the first rows repeated in some batches (rank deficient); the
-    entries come from a seeded generator (_mixed_ranks)."""
+    the first rows repeated in some batches (rank deficient), and in some
+    row i and column i zero in every lane, so that an elimination step
+    finds no pivot in any lane before steps that do; the entries come from
+    a seeded generator (_mixed_ranks)."""
     q = draw(st.sampled_from(PLANE_QS))
     f = field_make(2, q.bit_length() - 1)
     least = 64 * f.m**2
@@ -215,6 +217,9 @@ def plane_batches(draw):
     if draw(st.booleans()):
         half = shape[1] // 2
         batch[:, shape[1] - half :] = batch[:, :half]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, 3))
+        batch[:, i : i + 1] = batch[:, :, i : i + 1] = 0  # a no-op past the edge
     return f, batch.astype(draw(st.sampled_from((np.uint8, np.int64))))
 
 
