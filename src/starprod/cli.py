@@ -6,9 +6,10 @@ limit-q, apps {pir,sdmm,csst}, example-mds.  Exit codes: 0 success,
 exceeded, 4 I/O error.  Exact rationals print as num/den plus a decimal
 to 10 significant digits, rounded half up from the exact quotient by the
 standard library's decimal module (_dec); estimates and app reports print
-as JSON, and a float view of an exact value past the float range prints
-as +-inf.  STARPROD_THREADS overrides --threads when the flag is absent;
-example-mds accepts --threads and ignores it.  oracle runs q in
+as JSON.  A float view of an exact value past the float range prints as
++-inf in plain text and as null in JSON, which has no infinity (RFC 8259).
+STARPROD_THREADS overrides --threads when the flag is absent; example-mds
+accepts --threads and ignores it.  oracle runs q in
 {2, 3, 4, 5, 7, 8, 9} up to --qmax, skips grid points over
 oracle.DEFAULT_BUDGET instead of exiting 3, and exits 2 if it checks none.
 """
@@ -251,7 +252,7 @@ def cmd_limit_q(args) -> int:
         lim = exact.kernel_limit_value(p)
         gap = exact._float(abs(e - lim))
         lines.append(f"q={q}: E = {_frac(e)}, limit = {_frac(lim)}, |gap| = {gap:.6g}")
-        rows.append({"q": q, **_exact_json("kernel", e), **_exact_json("limit", lim), "abs_gap": gap})
+        rows.append({"q": q, **_exact_json("kernel", e), **_exact_json("limit", lim), "abs_gap": exact._json_float(gap)})
     _emit(args, lines, rows)
     return 0
 

@@ -13,10 +13,6 @@ class TooLarge(StarprodError, ValueError):
     """Field order or matrix side exceeds the configured limit."""
 
 
-class NoModulusTableEntry(StarprodError, KeyError):
-    """No shipped modulus for the requested extension field."""
-
-
 class DivisionByZero(StarprodError, ZeroDivisionError):
     """Division or inversion of the zero field element."""
 

@@ -40,6 +40,12 @@ def _float(x: Fraction) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _json_float(x: float):
+    """x as a JSON number, or None (null) where x is not finite: RFC 8259
+    JSON has no Infinity or NaN."""
+    return x if math.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class Params:
     """A (q, n, k1, k2) parameter point of ints, normalised so that k1 <= k2.

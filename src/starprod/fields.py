@@ -2,8 +2,9 @@
 
 Elements are encoded as integers in [0, q): an element sum(a_i * x**i) in
 the polynomial basis maps to sum(a_i * p**i).  Prime fields add, subtract
-and multiply residues.  For extension fields the shipped modulus (see
-_moduli.py) makes x a multiplicative generator.  Up to q = 256 (_TABLE_Q)
+and multiply residues.  An extension field reduces modulo the monic
+polynomial of least encoding for which x is a multiplicative generator,
+computed at construction (_primitive_modulus).  Up to q = 256 (_TABLE_Q)
 multiplication is one lookup in a flat q*q uint8 table indexed by
 a*q + b; above 256 it goes through log/antilog tables.  Addition is XOR
 when p = 2 and a sum of base-p digit rows otherwise.  neg and inv are
@@ -25,8 +26,7 @@ import numbers
 
 import numpy as np
 
-from ._moduli import MODULI
-from .errors import BadRange, DivisionByZero, NoModulusTableEntry, NotPrime, TooLarge
+from .errors import BadRange, DivisionByZero, NotPrime, TooLarge
 
 Q_LIMIT = 2**16
 _TABLE_Q = 256  # extension fields up to this order use q*q uint8 tables
@@ -94,6 +94,59 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _prime_divisors(n: int) -> list:
+    """The distinct primes dividing n >= 1, by trial division."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _x_power(e: int, f: tuple, p: int) -> list:
+    """x**e in GF(p)[x]/(f) for a monic f of degree m >= 2, as m
+    coefficients, constant term first: square and multiply over the bits
+    of e, most significant first, the multiply by x folded into the square
+    as a shift by one place."""
+    m = len(f) - 1
+    r = [1] + [0] * (m - 1)
+    for bit in map(int, bin(e)[2:]):
+        prod = [0] * (2 * m)
+        for i, a in enumerate(r):
+            if a:
+                for j, b in enumerate(r):
+                    prod[i + j + bit] += a * b
+        # reduce from the top degree down with x**m = -f[:m]
+        for k in range(2 * m - 1, m - 1, -1):
+            c = prod[k] % p
+            if c:
+                for i in range(m):
+                    prod[k - m + i] -= c * f[i]
+        r = [c % p for c in prod[:m]]
+    return r
+
+
+def _x_generates(f: tuple, p: int) -> bool:
+    """Whether x generates the units of GF(p)[x]/(f), f monic of degree m >= 2
+    and constant term first: x**(q-1) = 1 and x**((q-1)/r) != 1 for every
+    prime r dividing q - 1, q = p**m.  The quotient ring then has q - 1
+    units, so it is a field and f is irreducible (R. Lidl and
+    H. Niederreiter, Finite Fields, ch. 3)."""
+    one = [1] + [0] * (len(f) - 2)
+    units = p ** (len(f) - 1) - 1
+    return _x_power(units, f, p) == one and all(_x_power(units // r, f, p) != one for r in _prime_divisors(units))
+
+
+def _primitive_modulus(p: int, m: int) -> tuple:
+    """The monic degree-m modulus over GF(p), constant term first, of least
+    encoding sum c_i * p**i for which x generates GF(p**m)* (_x_generates)."""
+    candidates = (tuple(low // p**i % p for i in range(m)) + (1,) for low in range(p**m))
+    return next(f for f in candidates if _x_generates(f, p))
+
+
 class FieldSpec:
     """A finite field GF(p**m) with its lookup tables.
 
@@ -140,10 +193,7 @@ class FieldSpec:
             for a in range(2, q):
                 inv[a] = (-(q // a) * inv[q % a]) % q
         else:
-            key = (p, m)
-            if key not in MODULI:
-                raise NoModulusTableEntry(f"no shipped modulus for GF({p}^{m})")
-            self.modulus = MODULI[key]
+            self.modulus = _primitive_modulus(p, m)
             self._build_log_tables(digits, place)
             log = self._log
             inv = np.concatenate(([0], self._exp[-log[1:] % (q - 1)]))
@@ -169,18 +219,12 @@ class FieldSpec:
         shifted = np.pad(digits[:, :-1], ((0, 0), (1, 0)))
         times_x = ((shifted - digits[:, -1:] * np.array(self.modulus[:m])) % p @ place).tolist()
         powers_of_x = [1]
-        for i in range(1, q - 1):
-            val = times_x[powers_of_x[-1]]
-            if val == 1:
-                raise NoModulusTableEntry(f"modulus for GF({p}^{m}) is not primitive (x has order {i})")
-            powers_of_x.append(val)
+        for _ in range(q - 2):
+            powers_of_x.append(times_x[powers_of_x[-1]])
         exp = np.array(powers_of_x, dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
-        # x never reaches 1 only if it is a zero divisor: then some power
-        # is 0 or repeats, and some nonzero element is no power of x
-        if (exp[log[1:]] != np.arange(1, q)).any():
-            raise NoModulusTableEntry(f"modulus for GF({p}^{m}) is reducible (x is a zero divisor)")
+        assert (exp[log[1:]] == np.arange(1, q)).all(), "x generates the units of a primitive modulus"
         self._exp = exp
         self._log = log
 

@@ -39,7 +39,7 @@ import numpy as np
 from ._tally import dim_histogram, meet_dims, pair_stat, resolve_threads, star_dims
 from .codes import LinearCode, code_from_matrix
 from .errors import BadRange
-from .exact import Params, RandomModel, _float, _qbinom, star_dim_lower_bound
+from .exact import Params, RandomModel, _float, _json_float, _qbinom, star_dim_lower_bound
 from .fields import FieldSpec, _integer, _mod, field_from_order
 from .matrices import Mat, _rref_cells
 
@@ -197,8 +197,8 @@ class Estimate:
             "sum": str(self.total),
             "mean_num": str(self.mean.numerator),
             "mean_den": str(self.mean.denominator),
-            "mean_f64": self.mean_f64,
-            "stderr": self.stderr,
+            "mean_f64": _json_float(self.mean_f64),
+            "stderr": _json_float(self.stderr),
         }
 
     @staticmethod
@@ -207,9 +207,10 @@ class Estimate:
         below 1 or not an integer, a seed that is not an integer in [0,
         2**64) (_check_seed), a sum that is not an integer, a mean_num/mean_den
         that differ from sum/samples, a stderr that is not a real number >= 0
-        (inf passes, NaN does not) and params that Params refuses raise
-        BadRange."""
+        (inf passes, and null reads as inf; NaN does not) and params that
+        Params refuses raise BadRange."""
         samples, seed, total, stderr = obj["samples"], obj["seed"], obj["sum"], obj["stderr"]
+        stderr = math.inf if stderr is None else stderr
         if _integer("samples", samples) < 1:
             raise BadRange(f"samples must be >= 1, got {samples!r}")
         _check_seed(seed)

@@ -151,13 +151,24 @@ def test_limit_q_subcommand(capsys):
     assert len(lines) == 3 and lines[0].startswith("q=2:")
 
 
-def test_mc_mean_past_the_float_range_prints_inf(capsys):
+def _strict_json(s):
+    """json.loads refusing the non-standard constants Infinity, -Infinity
+    and NaN, as RFC 8259 parsers do."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(s, parse_constant=refuse)
+
+
+def test_mc_mean_past_the_float_range_prints_null(capsys):
     # every sample has kernel 7**380, past the float range: the float view
-    # is inf and the exact fields stay exact (exit 1 is a failed oracle check)
+    # is inf, which JSON prints as null, and the exact fields stay exact
     argv = ("mc", "-q", "7", "-n", "20", "-k1", "20", "-k2", "20", "--stat", "kernel-size", "--samples", "3")
     code, out, err = run(capsys, *argv, "--threads", "1")
-    obj = json.loads(out)
-    assert (code, err) == (0, "") and obj["mean_f64"] == math.inf and obj["stderr"] == 0.0
+    obj = _strict_json(out)
+    assert (code, err) == (0, "") and obj["mean_f64"] is None and obj["stderr"] == 0.0
+    assert Estimate.from_json(obj).mean_f64 == math.inf
     kernel = 7 ** (20 * 20 - 20)
     assert (obj["sum"], obj["mean_num"], obj["mean_den"]) == (str(3 * kernel), str(kernel), "1")
 
@@ -169,8 +180,8 @@ def test_limit_q_gap_past_the_float_range_prints_inf(capsys):
     assert (code, err) == (0, "") and out.startswith(f"q=7: E = {e.numerator}/{e.denominator}, ")
     assert out.endswith(", |gap| = inf\n")
     code, out, err = run(capsys, *argv, "--format", "json")
-    [row] = json.loads(out)
-    assert (code, err) == (0, "") and row["abs_gap"] == math.inf
+    [row] = _strict_json(out)
+    assert (code, err) == (0, "") and row["abs_gap"] is None
     assert (row["kernel_num"], row["kernel_den"]) == (str(e.numerator), str(e.denominator))
 
 

@@ -25,7 +25,7 @@ from starprod import (
     zeros_of_form,
 )
 from starprod.errors import BadRange, UncoveredCase
-from starprod.exact import _float
+from starprod.exact import _float, _json_float
 from starprod.fields import field_from_order, prime_power
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
@@ -86,6 +86,14 @@ def test_float_view_of_exact_values_is_inf_past_the_float_range():
     assert _float(Fraction(1, 3)) == 1 / 3
     assert _float(Fraction(7) ** 400) == math.inf and _float(-Fraction(7) ** 400) == -math.inf
     assert _float(Fraction(7) ** -400) == 0.0
+
+
+def test_json_view_of_a_float_is_null_unless_finite():
+    # RFC 8259 JSON has no Infinity or NaN: those print as null, finite floats as themselves
+    for x in (0.0, -2.5, 1e308, 5e-324):
+        assert _json_float(x) == x and type(_json_float(x)) is float
+    for x in (math.inf, -math.inf, math.nan):
+        assert _json_float(x) is None
 
 
 def test_binom_conventions():

@@ -7,15 +7,31 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from starprod import field_from_order, field_make, parse_matrix
-from starprod._moduli import MODULI
-from starprod.errors import BadRange, DivisionByZero, NoModulusTableEntry, NotPrime, TooLarge
-from starprod.fields import _MR_LIMIT, FieldSpec, _is_prime, _mod, prime_power
+from starprod.errors import BadRange, DivisionByZero, NotPrime, TooLarge
+from starprod.fields import _MR_LIMIT, FieldSpec, _is_prime, _mod, _x_generates, _x_power, prime_power
+
+# the modulus of every extension field GF(p^m), q = p^m <= 2**16, as the
+# encoding sum c_i p**i of its coefficients below x**m, constant term first
+GOLDEN_MODULI = {
+    (2, 2): 3, (2, 3): 3, (2, 4): 3, (2, 5): 5, (2, 6): 3, (2, 7): 3, (2, 8): 29, (2, 9): 17, (2, 10): 9, (2, 11): 5,
+    (2, 12): 83, (2, 13): 27, (2, 14): 43, (2, 15): 3, (2, 16): 45, (3, 2): 5, (3, 3): 7, (3, 4): 5, (3, 5): 7,
+    (3, 6): 5, (3, 7): 16, (3, 8): 29, (3, 9): 64, (3, 10): 32, (5, 2): 7, (5, 3): 17, (5, 4): 37, (5, 5): 22,
+    (5, 6): 7, (7, 2): 10, (7, 3): 23, (7, 4): 75, (7, 5): 11, (11, 2): 18, (11, 3): 15, (11, 4): 13, (13, 2): 15,
+    (13, 3): 19, (13, 4): 184, (17, 2): 20, (17, 3): 20, (19, 2): 21, (19, 3): 23, (23, 2): 30, (23, 3): 26,
+    (29, 2): 32, (29, 3): 40, (31, 2): 43, (31, 3): 45, (37, 2): 42, (37, 3): 50, (41, 2): 53, (43, 2): 46,
+    (47, 2): 60, (53, 2): 58, (59, 2): 61, (61, 2): 63, (67, 2): 79, (71, 2): 82, (73, 2): 84, (79, 2): 82,
+    (83, 2): 85, (89, 2): 95, (97, 2): 102, (101, 2): 104, (103, 2): 108, (107, 2): 112, (109, 2): 115, (113, 2): 123,
+    (127, 2): 130, (131, 2): 145, (137, 2): 143, (139, 2): 141, (149, 2): 152, (151, 2): 163, (157, 2): 163,
+    (163, 2): 174, (167, 2): 172, (173, 2): 178, (179, 2): 186, (181, 2): 199, (191, 2): 210, (193, 2): 198,
+    (197, 2): 200, (199, 2): 205, (211, 2): 214, (223, 2): 228, (227, 2): 232, (229, 2): 235, (233, 2): 236,
+    (239, 2): 252, (241, 2): 254, (251, 2): 270,
+}  # fmt: skip
 
 # prime powers up to 64, all of which ship with tables
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
 EXHAUSTIVE_Q = [2, 3, 4, 5, 7, 8, 9]
-# every shipped modulus, and primes around the uint8/int8 limits and below 2**16
-DTYPE_Q = sorted(p**m for p, m in MODULI) + [2, 3, 5, 7, 31, 127, 131, 251, 257, 65521]
+# every extension field, and primes around the uint8/int8 limits and below 2**16
+DTYPE_Q = sorted(p**m for p, m in GOLDEN_MODULI) + [2, 3, 5, 7, 31, 127, 131, 251, 257, 65521]
 INT_DTYPES = [np.uint8, np.uint16, np.int8, np.int32, np.int64]
 
 
@@ -64,14 +80,6 @@ def test_order_bound_checked_before_factoring(monkeypatch):
     for p, m in ((99999999999973, 1), (2, 17), (3, 11), (10**20 + 39, 10**9)):
         with pytest.raises(TooLarge):
             FieldSpec(p, m)
-
-
-def test_missing_modulus_entry(monkeypatch):
-    import starprod.fields as fields_mod
-
-    monkeypatch.setattr(fields_mod, "MODULI", {})
-    with pytest.raises(NoModulusTableEntry):
-        FieldSpec(2, 2)
 
 
 def test_field_from_order():
@@ -201,7 +209,21 @@ def test_specs_with_equal_order_interchangeable():
     assert hash(field_make(3, 2)) == hash(field_from_order(9))
 
 
-@pytest.mark.parametrize("p,m", sorted(MODULI))
+def _monic(p, m, low):
+    """The monic degree-m polynomial over GF(p) whose coefficients below
+    x**m have the encoding low, constant term first."""
+    return tuple(low // p**i % p for i in range(m)) + (1,)
+
+
+def test_computed_moduli_equal_golden():
+    # every extension field up to the order bound computes its golden modulus
+    keys = {(p, m) for p in range(2, 257) if _is_prime(p) for m in range(2, 17) if p**m <= 2**16}
+    assert keys == set(GOLDEN_MODULI)
+    for (p, m), low in sorted(GOLDEN_MODULI.items()):
+        assert field_make(p, m).modulus == _monic(p, m, low), (p, m)
+
+
+@pytest.mark.parametrize("p,m", sorted(GOLDEN_MODULI))
 def test_shipped_modulus_is_primitive(p, m):
     # a monic degree-m modulus whose root x has multiplicative order q - 1
     f = field_make(p, m)
@@ -210,20 +232,32 @@ def test_shipped_modulus_is_primitive(p, m):
     assert (f._log[f._exp] == np.arange(f.q - 1)).all()
 
 
-def test_shipped_moduli_have_least_encoding(monkeypatch):
-    # each shipped modulus is the monic polynomial of least encoding
-    # sum c_i p**i (constant term first) that makes x primitive, the rule
-    # tools/gen_modulus_table.py generates the table by: FieldSpec refuses
-    # every monic candidate of smaller encoding
-    import starprod.fields as fields_mod
+def _order_of_x(p, f):
+    """The multiplicative order of x modulo the monic f over GF(p), by
+    stepping through its powers with schoolbook arithmetic on coefficient
+    lists, or None where no power below p**m is 1 (x is a zero divisor)."""
+    one = [1] + [0] * (len(f) - 2)
+    power = one
+    for i in range(1, p ** (len(f) - 1)):
+        top = power[-1]
+        power = [(c - top * r) % p for c, r in zip([0] + power[:-1], f)]
+        if power == one:
+            return i
+    return None
 
-    for (p, m), modulus in sorted(MODULI.items()):
+
+def test_shipped_moduli_have_least_encoding():
+    # each golden modulus is the monic polynomial of least encoding
+    # sum c_i p**i (constant term first) that makes x primitive, checked
+    # apart from the search: x has order q - 1 modulo it, and x has
+    # another order, or none, modulo every monic candidate of smaller
+    # encoding
+    for (p, m), low in sorted(GOLDEN_MODULI.items()):
         if p**m > 4096:
             continue
-        for low in range(sum(c * p**i for i, c in enumerate(modulus[:m]))):
-            monkeypatch.setattr(fields_mod, "MODULI", {(p, m): tuple(low // p**i % p for i in range(m)) + (1,)})
-            with pytest.raises(NoModulusTableEntry):
-                FieldSpec(p, m)
+        assert _order_of_x(p, _monic(p, m, low)) == p**m - 1, (p, m)
+        for smaller in range(low):
+            assert _order_of_x(p, _monic(p, m, smaller)) != p**m - 1, (p, m, smaller)
 
 
 def _times_x(field, v):
@@ -234,7 +268,7 @@ def _times_x(field, v):
     return sum((d - top * r) % p * p**j for j, (d, r) in enumerate(zip(shifted, field.modulus[:m])))
 
 
-@pytest.mark.parametrize("p,m", sorted(MODULI))
+@pytest.mark.parametrize("p,m", sorted(GOLDEN_MODULI))
 def test_exp_table_steps_by_x(p, m):
     # exp[i] = x**i: exp[0] = 1 and exp[i + 1] = x * exp[i] at sampled i,
     # the last step wrapping round to 1
@@ -247,33 +281,29 @@ def test_exp_table_steps_by_x(p, m):
 
 
 def test_log_tables_unchanged():
-    # sha256 of every shipped field's exp and log tables, little-endian
+    # sha256 of every extension field's exp and log tables, little-endian
     # int64, as the element-by-element builder made them
     h = hashlib.sha256()
-    for p, m in sorted(MODULI):
+    for p, m in sorted(GOLDEN_MODULI):
         f = field_make(p, m)
         h.update(f._exp.astype("<i8").tobytes())
         h.update(f._log.astype("<i8").tobytes())
     assert h.hexdigest() == "cbc7711d5d3476832eb7ecf1fae1790ec88765f6d9429e9508ed1afaf0a6f52e"
 
 
-def test_zero_divisor_modulus_raises(monkeypatch):
+def test_zero_divisor_modulus_refused():
     # x^2 + x = x(x + 1): x is a zero divisor, so its powers 1, x, x, ...
     # repeat without returning to 1
-    import starprod.fields as fields_mod
-
-    monkeypatch.setattr(fields_mod, "MODULI", {(2, 2): (0, 1, 1)})
-    with pytest.raises(NoModulusTableEntry, match="zero divisor"):
-        FieldSpec(2, 2)
+    f = (0, 1, 1)
+    assert [_x_power(e, f, 2) for e in range(4)] == [[1, 0], [0, 1], [0, 1], [0, 1]]
+    assert _order_of_x(2, f) is None and not _x_generates(f, 2)
 
 
-def test_non_primitive_modulus_raises(monkeypatch):
+def test_non_primitive_modulus_refused():
     # x^4 + x^3 + x^2 + x + 1 is irreducible over GF(2), but x has order 5
-    import starprod.fields as fields_mod
-
-    monkeypatch.setattr(fields_mod, "MODULI", {(2, 4): (1, 1, 1, 1, 1)})
-    with pytest.raises(NoModulusTableEntry, match="x has order 5"):
-        FieldSpec(2, 4)
+    f = (1, 1, 1, 1, 1)
+    assert _x_power(5, f, 2) == [1, 0, 0, 0] and _x_power(15, f, 2) == [1, 0, 0, 0]
+    assert _order_of_x(2, f) == 5 and not _x_generates(f, 2)
 
 
 @pytest.mark.parametrize("q", sorted(set(SMALL_Q + DTYPE_Q)))
@@ -294,7 +324,7 @@ def _from_digits(field, digits):
     return sum(d % field.p * field.p**j for j, d in enumerate(digits))
 
 
-@pytest.mark.parametrize("p,m", sorted(key for key in MODULI if key[0] > 2))
+@pytest.mark.parametrize("p,m", sorted(key for key in GOLDEN_MODULI if key[0] > 2))
 def test_odd_extension_add_neg_match_digitwise(p, m):
     # add and neg over GF(p^m), p odd, against base-p digit arithmetic
     f = field_make(p, m)
@@ -307,7 +337,7 @@ def test_odd_extension_add_neg_match_digitwise(p, m):
         assert got_sub[i] == _from_digits(f, [s - t for s, t in zip(dx, dy)])
 
 
-@pytest.mark.parametrize("p,m", sorted(key for key in MODULI if key[0] ** key[1] <= 256))
+@pytest.mark.parametrize("p,m", sorted(key for key in GOLDEN_MODULI if key[0] ** key[1] <= 256))
 def test_qq_tables_match_log_and_digit_formulas(p, m):
     # every pair (a, b) of GF(p^m), q <= 256: mul through the q*q table
     # against exp[(log a + log b) % (q - 1)], add and sub against base-p

@@ -1,6 +1,6 @@
-"""The third-party modules that the package and its tests import are the
-ones pyproject.toml declares: numpy alone at run time, and the test
-extra on top for the tests."""
+"""The third-party modules that the package, its scripts and its tests
+import are the ones pyproject.toml declares: numpy alone for the package,
+the demos and the benchmark, and the test extra on top for the tests."""
 
 import ast
 import re
@@ -40,4 +40,6 @@ def test_imports_are_the_declared_dependencies():
     test_extra = _module_names(project["optional-dependencies"]["test"])
     assert runtime == {"numpy"}
     assert _third_party_imports(ROOT / "src" / "starprod") == runtime
+    for scripts in ("demos", "perfbench"):
+        assert _third_party_imports(ROOT / scripts) <= runtime, scripts
     assert _third_party_imports(ROOT / "tests") <= runtime | test_extra
