@@ -76,11 +76,18 @@ def star_dims(field, g1: np.ndarray, g2: np.ndarray, prefix: int = 0) -> np.ndar
     return prefix + rank_many(field, prod.reshape((batch,) + prod.shape[-2:]))
 
 
+def _check_model(model) -> None:
+    if not isinstance(model, RandomModel):
+        raise BadRange(f"model must be a RandomModel, got {model!r}")
+
+
 def pair_stat(p, model, stat) -> tuple:
     """(stat, size) for the model's generator pairs at p.  size =
     min(k1*k2, n) + 1 bounds both statistics (an intersection has dim <=
     k1), and systematic pairs [I_k1 | A1], [I_k2 | A2] share min(k1, k2)
-    unit columns, which stat (star_dims, the only systematic one) peels."""
+    unit columns, which stat (star_dims, the only systematic one) peels.
+    A model that is not a RandomModel is a BadRange (_check_model)."""
+    _check_model(model)
     if model is RandomModel.SYSTEMATIC:
         stat = functools.partial(stat, prefix=min(p.k1, p.k2))
     return stat, min(p.k1 * p.k2, p.n) + 1

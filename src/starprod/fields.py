@@ -1,22 +1,21 @@
 """Arithmetic for GF(p**m), table driven and numpy friendly.
 
 Elements are encoded as integers in [0, q): an element sum(a_i * x**i) in
-the polynomial basis maps to sum(a_i * p**i).  Prime fields add, subtract
-and multiply residues.  An extension field reduces modulo the monic
-polynomial of least encoding for which x is a multiplicative generator,
-computed at construction (_primitive_modulus).  Up to q = 256 (_TABLE_Q)
-multiplication is one lookup in a flat q*q uint8 table indexed by
-a*q + b; above 256 it goes through log/antilog tables.  Addition is XOR
-when p = 2 and a sum of base-p digit rows otherwise.  neg and inv are
-one table lookup on every field.
+the polynomial basis maps to sum(a_i * p**i).  Every field, m = 1
+included, reduces modulo the monic degree-m polynomial of least encoding
+for which x generates the units, computed at construction
+(_primitive_modulus), and takes its log/antilog tables and inverses from
+the powers of x.  Prime fields multiply residues; extension fields up to
+q = 256 (_TABLE_Q) look products up in a flat q*q uint8 table indexed by
+a*q + b, larger ones go through the log/antilog tables.  p = 2 adds and
+subtracts by XOR; otherwise add sums residues (prime fields) or base-p
+digit rows, and sub is add(a, neg(b)).  neg and inv are table lookups.
 
 All FieldSpec tables are immutable after construction; the vectorised
 methods accept numpy arrays of encoded elements in [0, q), of any integer
-dtype and broadcastable shape, and never mutate them.  Prime-field add
-and sub compute in int64; a mul input too narrow for its products (uint8
-over GF(31)) is widened to int64 first; int64 inputs are never copied.
-An extension mul up to q = 256 returns np.result_type(a, b, np.uint8),
-which holds [0, q): uint8 for uint8 inputs, int64 for int64 ones.
+dtype and broadcastable shape, and never mutate them.  Odd prime-field
+add and sub compute in int64.  mul on prime and table fields returns
+np.result_type(a, b, _dtype), which holds every product it forms.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .errors import BadRange, DivisionByZero, NotPrime, TooLarge
 
 Q_LIMIT = 2**16
 _TABLE_Q = 256  # extension fields up to this order use q*q uint8 tables
-_INT64 = np.dtype(np.int64)
 
 
 def _integer(name: str, value) -> int:
@@ -39,19 +37,6 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise BadRange(f"{name} must be an integer, got {value!r}")
     return int(value)
-
-
-def _fitted(lo: int, hi: int, *arrays) -> tuple:
-    """The integer arrays, each cast to int64 unless its dtype holds every
-    value in [lo, hi]; other dtypes pass unchanged.  Callers skip it for
-    int64 inputs, which hold every bound a field of order at most Q_LIMIT
-    needs."""
-    out = []
-    for a in arrays:
-        if a.dtype.kind in "iu" and not np.iinfo(a.dtype).min <= lo <= hi <= np.iinfo(a.dtype).max:
-            a = a.astype(np.int64)
-        out.append(a)
-    return tuple(out)
 
 
 def _mod(x: np.ndarray, q: int) -> np.ndarray:
@@ -107,7 +92,7 @@ def _prime_divisors(n: int) -> list:
 
 
 def _x_power(e: int, f: tuple, p: int) -> list:
-    """x**e in GF(p)[x]/(f) for a monic f of degree m >= 2, as m
+    """x**e in GF(p)[x]/(f) for a monic f of degree m >= 1, as m
     coefficients, constant term first: square and multiply over the bits
     of e, most significant first, the multiply by x folded into the square
     as a shift by one place."""
@@ -130,7 +115,7 @@ def _x_power(e: int, f: tuple, p: int) -> list:
 
 
 def _x_generates(f: tuple, p: int) -> bool:
-    """Whether x generates the units of GF(p)[x]/(f), f monic of degree m >= 2
+    """Whether x generates the units of GF(p)[x]/(f), f monic of degree m >= 1
     and constant term first: x**(q-1) = 1 and x**((q-1)/r) != 1 for every
     prime r dividing q - 1, q = p**m.  The quotient ring then has q - 1
     units, so it is a field and f is irreducible (R. Lidl and
@@ -150,12 +135,13 @@ def _primitive_modulus(p: int, m: int) -> tuple:
 class FieldSpec:
     """A finite field GF(p**m) with its lookup tables.
 
-    neg(a) is _neg[a] and inv(a) is _inv[a] after a zero check.  Extension
-    fields of order q <= _TABLE_Q multiply through _mul, the flat q*q
-    uint8 table of products indexed by a*q + b; larger ones through
-    _exp/_log, which exist for every extension field and build _mul and
-    _inv.  Odd-p extension fields add through _digits, the base-p digits
-    of every element.  Table lookups need a in [0, q).
+    modulus is f, constant term first; _exp[i] = x**i for i < q - 1 and
+    _log its inverse on the units (_log[0] is a placeholder).  neg(a) is
+    _neg[a] and inv(a) is _inv[a] after a zero check.  Extension fields of
+    order q <= _TABLE_Q multiply through _mul, the flat q*q uint8 table of
+    products indexed by a*q + b; larger ones through _exp/_log.  Odd-p
+    extension fields add through _digits, the base-p digits of every
+    element.  Table lookups need a in [0, q).
 
     _dtype is the narrowest dtype for arrays of elements that mul takes
     without widening: np.min_scalar_type((q-1)**2) on prime fields, where
@@ -181,33 +167,21 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.q = q
-        self.modulus = self._exp = self._log = self._digits = self._mul = None
-        place = p ** np.arange(m, dtype=np.int64)
+        self.modulus = _primitive_modulus(p, m)
+        self._digits = self._mul = None
+        self._place = place = p ** np.arange(m, dtype=np.int64)
         digits = np.arange(q, dtype=np.int64)[:, None] // place % p
-        self._dtype = np.dtype(np.int64)
-        if m == 1:
-            self._dtype = np.min_scalar_type((q - 1) ** 2)
-            # inv[a] for a >= 1 via the standard recurrence; inv[0] = 0, as on every field
-            inv = np.zeros(q, dtype=np.int64)
-            inv[1] = 1
-            for a in range(2, q):
-                inv[a] = (-(q // a) * inv[q % a]) % q
-        else:
-            self.modulus = _primitive_modulus(p, m)
-            self._build_log_tables(digits, place)
-            log = self._log
-            inv = np.concatenate(([0], self._exp[-log[1:] % (q - 1)]))
-            if q <= _TABLE_Q:
-                self._dtype = np.dtype(np.uint8)
-                mul = self._exp[(log[:, None] + log) % (q - 1)]
-                mul[0] = mul[:, 0] = 0  # log[0] is a placeholder: 0 has no log
-                self._mul = mul.astype(np.uint8).ravel()
-            if p > 2:
-                # a sum of two digits is at most 2(p - 1), so add never widens
-                self._digits = digits.astype(np.min_scalar_type(2 * (p - 1)))
-        self._place = place
         self._neg = -digits % p @ place
-        self._inv = inv
+        self._build_log_tables(digits, place)
+        self._dtype = np.min_scalar_type((q - 1) ** 2) if m == 1 else np.dtype(np.uint8 if q <= _TABLE_Q else np.int64)
+        if m > 1 and q <= _TABLE_Q:
+            log = self._log
+            mul = self._exp[(log[:, None] + log) % (q - 1)]
+            mul[0] = mul[:, 0] = 0  # log[0] is a placeholder: 0 has no log
+            self._mul = mul.astype(np.uint8).ravel()
+        if m > 1 and p > 2:
+            # a sum of two digits is at most 2(p - 1), so add never widens
+            self._digits = digits.astype(np.min_scalar_type(2 * (p - 1)))
         for table in (self._neg, self._inv, self._exp, self._log, self._digits, self._place, self._mul):
             if table is not None:
                 table.flags.writeable = False
@@ -227,22 +201,21 @@ class FieldSpec:
         assert (exp[log[1:]] == np.arange(1, q)).all(), "x generates the units of a primitive modulus"
         self._exp = exp
         self._log = log
+        self._inv = np.concatenate(([0], exp[-log[1:] % (q - 1)]))  # inv[0] = 0, read unchecked by rank_many
 
     # -- vectorised arithmetic on integer-encoded elements ----------------
 
     def add(self, a, b):
-        if self.m == 1:
-            return np.add(a, b, dtype=np.int64) % self.q
         if self.p == 2:
             return np.bitwise_xor(a, b)
+        if self.m == 1:
+            return np.add(a, b, dtype=np.int64) % self.q
         return (self._digits[a] + self._digits[b]) % self.p @ self._place
 
     def neg(self, a):
         return self._neg[a]
 
     def sub(self, a, b):
-        if self.m == 1:
-            return np.subtract(a, b, dtype=np.int64) % self.q
         if self.p == 2:
             return np.bitwise_xor(a, b)
         return self.add(a, self._neg[b])
@@ -250,10 +223,9 @@ class FieldSpec:
     def mul(self, a, b):
         a = np.asarray(a)
         b = np.asarray(b)
+        dtype = np.result_type(a, b, self._dtype)
         if self.m == 1:
-            if a.dtype != _INT64 or b.dtype != _INT64:
-                a, b = _fitted(0, max((self.q - 1) ** 2, self.q), a, b)
-            out = a * b
+            out = np.multiply(a, b, dtype=dtype)
             out -= out // self.q * self.q
             return out
         if self._mul is not None:
@@ -261,7 +233,7 @@ class FieldSpec:
             # q*q - 1 (the unsafe casts are exact for a and b in [0, q))
             idx = np.multiply(a, self.q, dtype=np.min_scalar_type(self.q**2 - 1), casting="unsafe")
             idx = np.add(idx, b, dtype=idx.dtype, casting="unsafe")
-            return np.take(self._mul, idx).astype(np.result_type(a, b, np.uint8), copy=False)
+            return np.take(self._mul, idx).astype(dtype, copy=False)
         prod = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
         return np.where((a == 0) | (b == 0), 0, prod)
 

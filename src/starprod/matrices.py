@@ -311,7 +311,7 @@ def _plane_constants(field: FieldSpec) -> np.ndarray:
     """The structure constants of GF(2^m) as uint64 masks, all ones where a
     bit is set: c[i, a, k, j] is bit k of e_a * e_j^(2^i), i < m, for the
     basis elements e_j = 2^j = x^j.  They are read from field.mul, so they
-    reduce by the shipped modulus; c[0] holds the products e_a * e_j."""
+    reduce by the computed modulus; c[0] holds the products e_a * e_j."""
     e = 1 << np.arange(field.m)
     frob = [e]  # frob[i] = e^(2^i)
     for _ in range(1, field.m):

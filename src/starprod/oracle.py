@@ -313,10 +313,8 @@ def _outer_side(field: FieldSpec, p: Params, model: RandomModel) -> tuple:
         return k, mats, z, None, inner
     perms = [[*range(i), i + 1, i, *range(i + 2, n)] for i in range(n - 1) if i + 1 not in (p.k1, p.k2)]
     images = [mats[:, perm[:k]][:, :, perm] for perm in perms]  # a pivot swap also swaps rows
-    # a generator of F_q^*, x in an extension field; a scaled row's pivot is not a free cell
-    roots = (a for a in range(1, q) if len({pow(a, e, q) for e in range(q)}) == q - 1)
-    scale = field._exp[1] if field.m > 1 else next(roots)
-    images += [field.mul(mats, np.where(np.arange(k) == r, scale, 1)[:, None]) for r in range(k if q > 2 else 0)]
+    # x = _exp[1] generates F_q^* where q > 2; a scaled row's pivot is not a free cell
+    images += [field.mul(mats, np.where(np.arange(k) == r, field._exp[1], 1)[:, None]) for r in range(k if q > 2 else 0)]
     maps = _orbit_index(field, free[0], np.concatenate([mats[:0], *images])).reshape(-1, len(mats))
     return k, mats, z, maps, inner
 

@@ -3,10 +3,10 @@
 Every sample index owns a fixed slice of a Philox counter stream keyed by
 the seed, so sample i draws the same field elements no matter how the
 work is chunked or how many threads run.  A seed outside [0, 2**64) is a
-BadRange, checked once per call (_check_seed), never wrapped.  Chunks
-of _CHUNK samples are counted into one exact histogram by
-_tally.dim_histogram, and each estimate is an exact integer sum over it;
-floating point enters only in the final mean/stderr rendering.
+BadRange, checked once per call (_check_seed), never wrapped.  Chunks of
+_CHUNK samples (fewer for large samples) are counted into one exact
+histogram by _tally.dim_histogram, and each estimate is an exact integer
+sum over it; floating point enters only in the final mean/stderr rendering.
 
 The uniform-subspace model draws a canonical RREF basis directly: the
 subspaces with pivot columns P number q**(free cells of P), so a column,
@@ -36,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._tally import dim_histogram, meet_dims, pair_stat, resolve_threads, star_dims
+from ._tally import _check_model, dim_histogram, meet_dims, pair_stat, resolve_threads, star_dims
 from .codes import LinearCode, code_from_matrix
 from .errors import BadRange
 from .exact import Params, RandomModel, _float, _json_float, _qbinom, star_dim_lower_bound
@@ -45,6 +45,7 @@ from .matrices import Mat, _rref_cells
 
 _KEY_CONST = 0x5374617250726F64  # stream key tag
 _CHUNK = 4096
+_CHUNK_BYTES = 2**26  # bounds a chunk's Philox words and product cells, at 8 bytes each
 
 DEFAULT_SAMPLES = 100_000
 DEFAULT_SEED = 42
@@ -149,7 +150,8 @@ def sample_code(
 
     Deterministic: the same (field, n, k, model, seed, index) always
     yields the same code.  n, k and index must be integers (_integer), the
-    seed must lie in [0, 2**64) and the index be >= 0 (BadRange).
+    seed must lie in [0, 2**64), the index be >= 0 and the model a
+    RandomModel (BadRange).
     """
     n, k, index = _integer("n", n), _integer("k", k), _integer("index", index)
     if not 1 <= k <= n:
@@ -157,6 +159,7 @@ def sample_code(
     _check_seed(seed)
     if index < 0:
         raise BadRange(f"need index >= 0, got {index}")
+    _check_model(model)
     code_words, from_words = _LAYOUT[model]
     g = from_words(field, _raw_words(seed, index, 1, _round4(code_words(n, k))), n, k, 0)
     return code_from_matrix(Mat(field, g[0]))
@@ -207,9 +210,11 @@ class Estimate:
         below 1 or not an integer, a seed that is not an integer in [0,
         2**64) (_check_seed), a sum that is not an integer, a mean_num/mean_den
         that differ from sum/samples, a stderr that is not a real number >= 0
-        (inf passes, and null reads as inf; NaN does not) and params that
-        Params refuses raise BadRange."""
+        (inf passes, and null reads as inf; NaN does not), a model that is
+        no RandomModel value and params that Params refuses raise BadRange."""
         samples, seed, total, stderr = obj["samples"], obj["seed"], obj["sum"], obj["stderr"]
+        if obj["model"] not in [m.value for m in RandomModel]:
+            raise BadRange(f"unknown model {obj['model']!r}")
         stderr = math.inf if stderr is None else stderr
         if _integer("samples", samples) < 1:
             raise BadRange(f"samples must be >= 1, got {samples!r}")
@@ -242,14 +247,19 @@ def _stderr_from_sums(total: int, total_sq: int, n: int) -> float:
 
 
 def _sample_histogram(p: Params, model, samples, seed, threads, stat) -> list:
-    """Exact histogram of stat (star_dims or meet_dims, see
-    _tally.pair_stat) over the sample range, one job per _CHUNK samples."""
+    """Exact histogram of stat (star_dims or meet_dims, see _tally.pair_stat)
+    over the sample range, one job per chunk of _CHUNK samples, or of fewer
+    (at least one) where a sample's words and k1*k2*n product cells would
+    take a chunk past _CHUNK_BYTES."""
     if _integer("samples", samples) < 1:
         raise BadRange(f"need samples >= 1, got {samples}")
     _check_seed(seed)
     field = field_from_order(p.q)
     stat, size = pair_stat(p, model, stat)
-    chunks = [(s, min(_CHUNK, samples - s)) for s in range(0, samples, _CHUNK)]
+    code_words = _LAYOUT[model][0]
+    cells = code_words(p.n, p.k1) + code_words(p.n, p.k2) + p.k1 * p.k2 * p.n
+    chunk = max(1, min(_CHUNK, _CHUNK_BYTES // (8 * cells)))
+    chunks = [(s, min(chunk, samples - s)) for s in range(0, samples, chunk)]
     return dim_histogram(
         size,
         chunks,

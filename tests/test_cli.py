@@ -452,11 +452,30 @@ def test_golden_stdout(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
-def _run_python(code):
+def _src_env():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    return env
+
+
+def _run_python(code):
+    return subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("head", [20, 0])
+def test_table1_into_a_closed_pipe_exits_quietly(head):
+    # starprod table1 --samples 3000 --threads 1 | head -c 20 exits 0 with
+    # nothing on stderr; a reader that closes before the first write
+    # (head = 0) makes that write fail for certain, the BrokenPipeError path
+    argv = [sys.executable, "-m", "starprod.cli", "table1", "--samples", "3000", "--threads", "1"]
+    proc = subprocess.Popen(argv, env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    got = proc.stdout.read(head)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
+    assert got == b"n,k1,k2,q,mc_mean,bound,ratio"[:head]
 
 
 def test_import_does_not_load_mpmath():

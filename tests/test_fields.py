@@ -27,6 +27,15 @@ GOLDEN_MODULI = {
     (239, 2): 252, (241, 2): 254, (251, 2): 270,
 }  # fmt: skip
 
+# the modulus x + c of every prime field GF(p), p < 256, and of GF(65521),
+# as c: x = -c is the primitive root of least c
+GOLDEN_PRIME_MODULI = {
+    2: 1, 3: 1, 5: 2, 7: 2, 11: 3, 13: 2, 17: 3, 19: 4, 23: 2, 29: 2, 31: 7, 37: 2, 41: 6, 43: 9, 47: 2, 53: 2,
+    59: 3, 61: 2, 67: 4, 71: 2, 73: 5, 79: 2, 83: 3, 89: 3, 97: 5, 101: 2, 103: 2, 107: 3, 109: 6, 113: 3, 127: 9,
+    131: 3, 137: 3, 139: 4, 149: 2, 151: 5, 157: 5, 163: 4, 167: 2, 173: 2, 179: 3, 181: 2, 191: 2, 193: 5, 197: 2,
+    199: 2, 211: 4, 223: 9, 227: 3, 229: 6, 233: 3, 239: 2, 241: 7, 251: 3, 65521: 17,
+}  # fmt: skip
+
 # prime powers up to 64, all of which ship with tables
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
 EXHAUSTIVE_Q = [2, 3, 4, 5, 7, 8, 9]
@@ -221,6 +230,48 @@ def test_computed_moduli_equal_golden():
     assert keys == set(GOLDEN_MODULI)
     for (p, m), low in sorted(GOLDEN_MODULI.items()):
         assert field_make(p, m).modulus == _monic(p, m, low), (p, m)
+
+
+def test_prime_moduli_equal_golden():
+    # a prime field is GF(p)[x]/(x + c), built by the same rule as GF(p^m)
+    assert set(GOLDEN_PRIME_MODULI) == {p for p in range(2, 256) if _is_prime(p)} | {65521}
+    for p, c in sorted(GOLDEN_PRIME_MODULI.items()):
+        f = field_make(p)
+        assert f.modulus == (c, 1), p
+        assert f._exp[1 % (p - 1)] == -c % p, p
+
+
+@pytest.mark.parametrize("p", sorted(GOLDEN_PRIME_MODULI))
+def test_prime_field_x_generates(p):
+    # x = -c has multiplicative order p - 1 by walking its powers, no
+    # smaller c gives a primitive root, and the log tables and inverses
+    # follow from the powers of x as on every extension field
+    c = GOLDEN_PRIME_MODULI[p]
+    assert _order_of_x(p, (c, 1)) == p - 1
+    assert all(_order_of_x(p, (smaller, 1)) != p - 1 for smaller in range(c))
+    f = field_make(p)
+    assert f._exp.tolist() == [pow(-c, i, p) for i in range(p - 1)]
+    assert (f._log[f._exp] == np.arange(p - 1)).all()
+    units = np.arange(1, p)
+    assert (units * f._inv[1:] % p == 1).all() and f._inv[0] == 0
+
+
+@pytest.mark.parametrize("q", sorted({q for q in DTYPE_Q if q <= 256 or prime_power(q)[1] == 1} | set(GOLDEN_PRIME_MODULI)))
+def test_mul_dtype_rule(q):
+    # on prime and table fields mul returns np.result_type(a, b, _dtype),
+    # for every pair of input dtypes; p = 2 adds and subtracts by XOR,
+    # in the inputs' dtype
+    f = field_from_order(q)
+    drawn = np.random.default_rng(q).integers(0, q, size=(2, 40))
+    for da in INT_DTYPES:
+        for db in INT_DTYPES:
+            a = (drawn[0] % min(q, int(np.iinfo(da).max) + 1)).astype(da)
+            b = (drawn[1] % min(q, int(np.iinfo(db).max) + 1)).astype(db)
+            got = f.mul(a, b)
+            assert got.dtype == np.result_type(a, b, f._dtype), (da, db)
+            assert (got == f.mul(a.astype(np.int64), b.astype(np.int64))).all(), (da, db)
+            if f.p == 2:
+                assert f.add(a, b).dtype == f.sub(a, b).dtype == np.result_type(a, b), (da, db)
 
 
 @pytest.mark.parametrize("p,m", sorted(GOLDEN_MODULI))

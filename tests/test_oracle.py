@@ -106,6 +106,17 @@ def test_exact_expected_star_dim():
     assert float(val) >= star_dim_lower_bound(p).bound - 1e-12  # Jensen direction
 
 
+def test_exact_star_dim_refuses_a_model_that_is_no_random_model():
+    # "systematic" once ran the uniform oracle; now BadRange, budget uncharged
+    budget = EnumBudget()
+    for model in ("systematic", "uniform", None):
+        with pytest.raises(BadRange, match="model"):
+            exact_expected_star_dim(Params(2, 5, 2, 3), model, budget)
+    assert budget.observed == 0
+    assert exact_expected_star_dim(Params(2, 5, 2, 3), RandomModel.SYSTEMATIC) == Fraction(15599, 4096)
+    assert exact_expected_star_dim(Params(2, 5, 2, 3), RandomModel.UNIFORM_SUBSPACE) == Fraction(15821, 4805)
+
+
 def test_exact_star_dim_uniform_vs_direct():
     # cross-check the batched enumeration against per-pair star products
     f2 = field_make(2)
@@ -606,6 +617,48 @@ def test_permutation_orbit_histograms_equal_column_scaling_only(point):
     _, _, z, maps, _ = oracle._outer_side(field_from_order(p.q), p, SYSTEMATIC)
     label = oracle._orbit_classes(maps, z, p.q)[0]
     assert all(np.array_equal(label[m], label) for m in maps)  # propagation ran to its fixed point
+
+
+def _brute_orbit_count(q, n, k1, k2, k):
+    """The number of orbits of the matrices A of systematic [I_k | A] over
+    GF(q), q prime, under the module docstring's group, by brute force:
+    rows and columns of A permuted within the coordinate blocks cut at k1
+    and k2, and A -> D1 A D2 for invertible diagonal D1 and D2.  Each
+    matrix is labelled by the least encoding in its orbit."""
+    block = [(c >= k1) + (c >= k2) for c in range(n)]
+
+    def block_perms(coords):  # every permutation of coords that keeps each coordinate's block
+        for perm in itertools.permutations(range(len(coords))):
+            if all(block[coords[i]] == block[coords[j]] for i, j in enumerate(perm)):
+                yield list(perm)
+
+    a = np.array(list(itertools.product(range(q), repeat=k * (n - k)))).reshape(-1, k, n - k)
+    weights = q ** np.arange(k * (n - k))
+    least = a.reshape(len(a), -1) @ weights
+    units = range(1, q)
+    for rows in block_perms(range(k)):
+        for cols in block_perms(range(k, n)):
+            moved = a[:, rows][:, :, cols]
+            for d1 in itertools.product(units, repeat=k):
+                for d2 in itertools.product(units, repeat=n - k):
+                    image = moved * np.array(d1)[:, None] * np.array(d2) % q
+                    least = np.minimum(least, image.reshape(len(a), -1) @ weights)
+    return len(np.unique(least))
+
+
+@pytest.mark.parametrize(
+    "point,classes", [((3, 5, 2, 3), 30), ((4, 5, 2, 3), 32), ((5, 4, 2, 2), 9), ((7, 4, 2, 2), 10), ((9, 4, 2, 2), 11)]
+)
+def test_systematic_orbit_classes_pinned(point, classes):
+    # the orbit classes _pair_histogram ranks at these points; rows scaled
+    # by an element that does not generate F_q^* would split them finer,
+    # and over prime fields the count equals a brute-force orbit count
+    q, n, k1, k2 = point
+    field = field_from_order(q)
+    k, _, z, maps, _ = oracle._outer_side(field, Params(*point), SYSTEMATIC)
+    assert len(oracle._orbit_classes(maps, z, q)[1]) == classes
+    if field.m == 1:
+        assert _brute_orbit_count(q, n, k1, k2, k) == classes
 
 
 def _small_side_points():

@@ -1,8 +1,10 @@
+import ast
 import itertools
 import json
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -387,6 +389,9 @@ def test_estimate_json_roundtrip_drawn(q, n, data, model, samples, seed, stderr)
         {"q": 5.0},
         {"n": 6.0},
         {"k1": True},
+        {"model": "gaussian"},
+        {"model": "SYSTEMATIC"},
+        {"model": None},
     ],
     ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()),
 )
@@ -449,3 +454,71 @@ def test_star_dim_samples_in_range():
     assert hist[0] == 0
     assert sum(hist) == 5000
     assert len(hist) == min(p.k1 * p.k2, p.n) + 1
+
+
+def test_model_that_is_no_random_model_refused(monkeypatch):
+    # a model's value or name is not the model: BadRange, before any draw
+    def no_draw(*args):
+        raise AssertionError("words drawn")
+
+    monkeypatch.setattr(sampling, "_raw_words", no_draw)
+    p, field = Params(2, 5, 2, 3), field_make(2)
+    for model in ("systematic", "uniform", "SYSTEMATIC", None):
+        for mc in (mc_star_dim, mc_kernel_size, mc_full_dim_frequency):
+            with pytest.raises(BadRange, match="model"):
+                mc(p, model, samples=10, seed=1, threads=1)
+        with pytest.raises(BadRange, match="model"):
+            sample_code(field, 5, 2, model=model)
+
+
+def _chunks(monkeypatch, p, model, samples):
+    """The (start, count) jobs that Monte Carlo hands dim_histogram; the
+    spy runs none of them, so nothing is drawn or ranked."""
+    seen = []
+
+    def spy(size, jobs, values, threads=1):
+        seen.append(list(jobs))
+        return [0] * size
+
+    monkeypatch.setattr(sampling, "dim_histogram", spy)
+    mc_star_dim(p, model, samples, 1, 1)
+    return seen[0]
+
+
+def _perfbench_mc_points():
+    """The keys of perfbench/workloads.py's MC_UNIFORM_POINTS, read from its source."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text())
+    [node] = [n for n in tree.body if isinstance(n, ast.Assign) and n.targets[0].id == "MC_UNIFORM_POINTS"]
+    return [ast.literal_eval(key) for key in node.value.keys]
+
+
+def test_full_chunks_at_every_table1_golden_and_perfbench_shape(monkeypatch):
+    uniform, systematic = RandomModel.UNIFORM_SUBSPACE, RandomModel.SYSTEMATIC
+    points = [((q, n, k1, k2), systematic) for n, k1, k2, q in TABLE1_GRID]
+    points += [(point, uniform) for point in _perfbench_mc_points()]
+    points += [((4, 4, 2, 2), uniform), ((7, 15, 3, 4), systematic), ((8, 4, 2, 2), uniform)]  # test_cli GOLDEN_STDOUT
+    for point, model in points:
+        assert _chunks(monkeypatch, Params(*point), model, 8192) == [(0, 4096), (4096, 4096)], point
+
+
+def test_chunks_shrink_where_a_sample_is_large(monkeypatch):
+    # systematic (2, 120, 8, 8): 2 * 8 * 112 words and 8 * 8 * 120 cells a
+    # sample, 75776 bytes at 8 each, so 2**26 // 75776 = 885 samples a
+    # chunk; (2, 2000, 40, 40): 2 * 40 * 1960 words and 1600 * 2000 cells,
+    # 26854400 bytes, so 2; one sample above 2**26 bytes still runs alone
+    systematic = RandomModel.SYSTEMATIC
+    assert _chunks(monkeypatch, Params(2, 120, 8, 8), systematic, 2000) == [(0, 885), (885, 885), (1770, 230)]
+    assert _chunks(monkeypatch, Params(2, 2000, 40, 40), systematic, 3) == [(0, 2), (2, 1)]
+    monkeypatch.setattr(sampling, "_CHUNK_BYTES", 2**20)
+    assert _chunks(monkeypatch, Params(2, 2000, 40, 40), systematic, 3) == [(0, 1), (1, 1), (2, 1)]
+
+
+def test_estimate_independent_of_the_chunk_cap(monkeypatch):
+    # a cap that forces 7-sample chunks leaves every estimate unchanged
+    p = Params(3, 6, 2, 3)
+    for model in RandomModel:
+        want = mc_star_dim(p, model, 100, 3, 1), mc_intersection_dim(p, 100, 3, 1)
+        cells = 2 * (p.k1 + 1) * p.n + p.k1 * p.k2 * p.n  # the uniform model's words, more than systematic ones
+        monkeypatch.setattr(sampling, "_CHUNK_BYTES", 8 * cells * 7)
+        assert (mc_star_dim(p, model, 100, 3, 1), mc_intersection_dim(p, 100, 3, 1)) == want
+        monkeypatch.undo()

@@ -73,6 +73,15 @@ def test_resolve_threads_refuses_non_counts(monkeypatch):
             resolve_threads(None)
 
 
+def test_cpus_without_affinity(monkeypatch):
+    # where os has no sched_getaffinity, the CPU count, or 1 when unknown
+    monkeypatch.delattr(_tally.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(_tally.os, "cpu_count", lambda: 5)
+    assert _tally._cpus() == 5
+    monkeypatch.setattr(_tally.os, "cpu_count", lambda: None)
+    assert _tally._cpus() == 1
+
+
 def test_thread_pool_capped_by_jobs_and_cpus(monkeypatch):
     # the spy records the pool size and runs the jobs on the calling thread
     sizes = []
